@@ -12,8 +12,8 @@ predicates
     Typed SQL predicate IR, date/NULL encodings, SMT lowering,
     vectorised evaluation.
 learn
-    Linear SVM (dual coordinate descent) and hyperplane-to-predicate
-    construction.
+    Exact hard-margin linear SVM (least-distance NNLS) and
+    hyperplane-to-predicate construction.
 core
     The Sia algorithm itself: sample generation, the counter-example
     guided learning loop, verification, baselines.

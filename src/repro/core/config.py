@@ -28,7 +28,6 @@ class SiaConfig:
     samples_per_iteration: int = 5
     sample_box: int = 200
     sampling_strategy: str = RANDOM_BOX
-    svm_c: float = 1e6
     max_denominator: int = 64
     seed: int = 0
     bnb_budget: int = 4000

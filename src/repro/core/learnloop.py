@@ -1,17 +1,19 @@
 """The Learn procedure (Algorithm 2).
 
-Train a linear SVM on (TRUE, FALSE) samples; if some TRUE samples are
-misclassified, retrain on just those (plus all FALSE samples) and
-disjoin the models, repeating until every TRUE sample is accepted.
+Train a hard-margin linear SVM on (TRUE, FALSE) samples; if some TRUE
+samples are misclassified, retrain on just those (plus all FALSE
+samples) and disjoin the models, repeating until every TRUE sample is
+accepted.
 
 The paper's contract is that Learn returns a predicate classifying all
-TRUE samples correctly.  A linear SVM cannot always make progress on
-degenerate sample sets (e.g. a TRUE point lying inside the convex hull
-of FALSE points); when that happens we *force* separation by shifting
-the intercept of the current direction until all remaining TRUE
-samples are accepted -- the verifier then rejects the predicate if the
-forced plane overreaches, which is exactly how the paper handles the
-non-separable limitation (section 6.7).
+TRUE samples correctly.  When the samples are not linearly separable
+the learner drops the FALSE samples of its infeasibility certificate
+and solves again; if no FALSE samples survive (e.g. a TRUE point lying
+inside the convex hull of FALSE points) it returns no direction, and we
+*force* separation by shifting the intercept of a fallback direction
+until all remaining TRUE samples are accepted -- the verifier then
+rejects the predicate if the forced plane overreaches, which is exactly
+how the paper handles the non-separable limitation (section 6.7).
 """
 
 from __future__ import annotations
@@ -55,12 +57,8 @@ def learn(
 
     while remaining:
         ts_array = _points_to_array(remaining, variables)
-        model = train_linear_svm(
-            ts_array,
-            fs_array,
-            c=config.svm_c,
-            seed=rng.randrange(2**31),
-        )
+        rng.randrange(2**31)  # Sampler shares rng; dropping this shifts every sample.
+        model = train_linear_svm(ts_array, fs_array)
         plane = _plane_with_exact_bias(
             model.weights, remaining, fs, variables, config
         )
@@ -68,7 +66,9 @@ def learn(
         if plane is not None:
             accepted = [point for point in remaining if plane.accepts(point)]
         if plane is None or not accepted:
-            plane = _forced_plane(remaining, fs, variables, model.weights)
+            plane = _forced_plane(
+                remaining, fs, variables, model.weights, config.max_denominator
+            )
             accepted = list(remaining)
         planes.append(plane)
         accepted_keys = {id(point) for point in accepted}
@@ -86,15 +86,14 @@ def _plane_with_exact_bias(
 ) -> Hyperplane | None:
     """Exact hyperplane: SVM direction, exactly-refit intercept.
 
-    Dual coordinate descent converges slowly on tight margins, which
-    misplaces the *intercept* even when the direction is good (and a
-    misplaced intercept silently accepts FALSE samples, stalling the
-    optimality search).  Since the direction is all the SVM really
-    contributes, we recompute the intercept exactly in rational
-    arithmetic: the cut sits at the highest FALSE score below the
-    lowest TRUE score.  Every TRUE sample is then strictly accepted and
-    every FALSE sample separable along this direction is rejected --
-    the strongest choice for the fixed direction.
+    The direction is all the SVM contributes.  Rounding it to integers
+    moves the plane, so a float intercept could silently accept FALSE
+    samples, stalling the optimality search.  We compute the intercept
+    exactly in rational arithmetic instead: the cut sits at the highest
+    FALSE score below the lowest TRUE score.  Every TRUE sample is then
+    strictly accepted and every FALSE sample separable along this
+    direction is rejected -- the strongest choice for the fixed
+    direction.
     """
     from ..learn import rationalize_weights
 
@@ -134,6 +133,7 @@ def _forced_plane(
     fs: list[Point],
     variables: list[Var],
     float_weights: np.ndarray,
+    max_denominator: int,
 ) -> Hyperplane:
     """A plane guaranteed to accept every remaining TRUE sample.
 
@@ -141,11 +141,11 @@ def _forced_plane(
     the FALSE centroid to the TRUE centroid, otherwise the first axis;
     then shifts the intercept past the minimum TRUE score.
     """
-    direction = _integer_direction(float_weights)
+    direction = _integer_direction(float_weights, max_denominator)
     if direction is None:
         ts_mean = np.mean(_points_to_array(remaining, variables), axis=0)
         fs_mean = np.mean(_points_to_array(fs, variables), axis=0)
-        direction = _integer_direction(ts_mean - fs_mean)
+        direction = _integer_direction(ts_mean - fs_mean, max_denominator)
     if direction is None:
         direction = [1] + [0] * (len(variables) - 1)
 
@@ -158,10 +158,12 @@ def _forced_plane(
     return Hyperplane(coeffs, bias)
 
 
-def _integer_direction(weights: np.ndarray) -> list[int] | None:
+def _integer_direction(weights: np.ndarray, max_denominator: int) -> list[int] | None:
     from ..learn import rationalize_weights
 
-    ints, _ = rationalize_weights(np.asarray(weights, dtype=np.float64), 0.0)
+    ints, _ = rationalize_weights(
+        np.asarray(weights, dtype=np.float64), 0.0, max_denominator=max_denominator
+    )
     if all(value == 0 for value in ints):
         return None
     return [int(v) for v in ints]

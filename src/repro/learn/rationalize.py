@@ -1,9 +1,9 @@
 """Float -> exact rational conversion of learned hyperplanes.
 
 The verification step (section 5.5) feeds the learned predicate to the
-SMT solver, so its coefficients must be exact rationals.  We round each
-floating-point weight with bounded-denominator continued fractions and
-clear denominators, producing integer coefficients.  Tiny weights
+SMT solver, so its coefficients must be exact rationals.  We scale the
+direction so its largest weight is ``max_denominator`` and round every
+weight to that integer grid, producing integer coefficients.  Tiny weights
 (relative to the largest) are snapped to zero -- they are SVM noise and
 would otherwise force the synthesized predicate to mention columns the
 model does not actually use.
@@ -25,15 +25,15 @@ def rationalize_weights(
     """Integer coefficients (weights, bias) defining the same hyperplane.
 
     The hyperplane is scale-invariant, so we first normalise by the
-    largest coefficient magnitude and round the *normalised* values
-    with bounded-denominator continued fractions.  Rounding each raw
-    float independently would combine unrelated denominators into huge
+    largest coefficient magnitude and round the *normalised* values to
+    a grid of ``max_denominator`` steps.  Rounding each raw float
+    independently would combine unrelated denominators into huge
     integers, which makes the learned predicates unreadable and the
     downstream integer theory solving needlessly expensive.
     """
     weights = np.asarray(weights, dtype=np.float64)
     # sia: allow-float -- documented learn-boundary crossing: this is
-    # the last float read before the continued-fraction rounding below
+    # the last float read before the grid rounding below
     # converts everything to exact integers.
     magnitude = float(np.max(np.abs(weights))) if weights.size else 0.0
     if magnitude <= 0.0:
@@ -45,9 +45,7 @@ def rationalize_weights(
     # to the integer grid.  This bounds every *weight* coefficient by
     # max_denominator while keeping relative error below
     # 1/(2*max_denominator); the bias keeps its true magnitude (it is
-    # an offset, not a direction component).  Rounding each float with
-    # an independent continued fraction instead would multiply
-    # unrelated denominators into huge integers.
+    # an offset, not a direction component).
     scale = max_denominator / magnitude
     integers = [int(round(value * scale)) for value in weights]
     int_bias = int(round(bias * scale))

@@ -1,15 +1,16 @@
-"""Linear soft-margin SVM trained by dual coordinate descent.
+"""Hard-margin linear SVM, solved exactly as a least-distance program.
 
 This replaces LibSVM (DESIGN.md substitution table).  The paper only
-uses the *linear* kernel and only consumes the learned hyperplane
-``w . x + b``, so we implement the standard dual coordinate descent
-algorithm for L1-loss linear SVMs (Hsieh et al., ICML'08 -- the same
-algorithm that powers liblinear) on numpy.
-
-The bias is learned by folding a constant feature into the weight
-vector (the usual liblinear trick).  Features are max-abs scaled
-internally for conditioning; returned weights are in the original
-feature space.
+uses the *linear* kernel and only the learned hyperplane, so we keep
+liblinear's conventions -- features max-abs scaled, the bias folded
+into ``w`` as a constant feature -- and solve the hard-margin problem
+``min ||w|| s.t. G w >= 1`` (rows of ``G`` are the samples ``y_i z_i``)
+exactly.  Lawson & Hanson (*Solving Least Squares Problems*, ch. 23)
+reduce it to one non-negative least squares problem ``min ||E u - f||
+s.t. u >= 0`` with ``E = [G^T; 1^T]`` and ``f = (0, ..., 0, 1)``.  A
+nonzero residual ``r = E u - f`` gives the max-margin ``w = -r[:-1] /
+r[-1]``; a zero residual makes ``u`` a Farkas certificate (``u >= 0``,
+``G^T u = 0``, ``sum(u) = 1``) that no separating hyperplane exists.
 """
 
 from __future__ import annotations
@@ -18,46 +19,71 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Residual norms at or below this are zero: the squared residual is
+#: ``1 / (1 + ||w||^2)``, so this only rejects margins (in max-abs
+#: scaled units) far below anything rationalization could resolve.
+ZERO_RESIDUAL = 1e-12
+
 
 @dataclass
 class SvmModel:
-    """A separating hyperplane ``w . x + b > 0`` (floating point)."""
+    """The learned direction ``w`` of the hyperplane ``w . x + b > 0``."""
 
     weights: np.ndarray  # shape (n_features,)
-    bias: float
-
-    def decision(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.weights + self.bias
-
-    def predict(self, points: np.ndarray) -> np.ndarray:
-        """True where the model classifies a point as positive."""
-        return self.decision(points) > 0.0
 
 
-def train_linear_svm(
-    positives: np.ndarray,
-    negatives: np.ndarray,
-    *,
-    c: float = 1e6,
-    bias_scale: float = 1.0,
-    max_epochs: int = 300,
-    tol: float = 1e-8,
-    seed: int = 0,
-) -> SvmModel:
-    """Train on positive (TRUE) and negative (FALSE) samples.
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``argmin ||a x - b|| s.t. x >= 0`` by Lawson & Hanson's active set."""
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10 * max(a.shape) * np.finfo(float).eps * np.linalg.norm(a, 1)
+    for _ in range(3 * n):  # the usual cap; each pass adds a variable
+        gradient = a.T @ (b - a @ x)
+        if passive.all() or gradient[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, gradient))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if (z[passive] > 0).all():
+                break
+            # Step from x toward z until a passive variable hits zero.
+            blocking = passive & (z <= 0)
+            step = np.min(x[blocking] / (x[blocking] - z[blocking]))
+            x = x + step * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = z
+    return x
 
-    Args:
-        positives: array (n_pos, d) of TRUE samples.
-        negatives: array (n_neg, d) of FALSE samples.
-        c: soft-margin penalty.  The default is effectively hard
-            margin: Sia needs the TRUE samples classified correctly
-            whenever the data is separable (Alg. 2's contract), and the
-            max-abs feature scaling below shrinks feature magnitudes so
-            small penalties would underfit.
-        bias_scale: magnitude of the folded-in constant feature.
-        max_epochs: dual coordinate descent epochs.
-        tol: projected-gradient stopping tolerance.
-        seed: permutation seed (training is deterministic given it).
+
+def least_distance(g: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Solve ``min ||w|| s.t. g w >= 1``; returns ``(w, u)``.
+
+    ``u`` is the NNLS solution.  When ``w`` is None the constraints are
+    infeasible and ``u`` is the Farkas certificate; otherwise
+    ``u / (1 - sum(u))`` are the KKT multipliers, ``w = g^T u / (1 -
+    sum(u))``, positive only on tight rows.
+    """
+    e = np.vstack([g.T, np.ones(len(g))])
+    f = np.zeros(len(e))
+    f[-1] = 1.0
+    u = nnls(e, f)
+    residual = e @ u - f
+    if np.linalg.norm(residual) <= ZERO_RESIDUAL:
+        return None, u
+    return -residual[:-1] / residual[-1], u
+
+
+def train_linear_svm(positives: np.ndarray, negatives: np.ndarray) -> SvmModel:
+    """Max-margin direction between TRUE and FALSE samples.
+
+    When the samples are not separable, the FALSE samples in the
+    certificate's support are dropped and the problem is solved again
+    (at most one round per FALSE sample).  If none remain (or there
+    were none), the weights are zero and the caller must choose a
+    direction itself.  Samples are rows of (n, d) arrays.
     """
     positives = np.asarray(positives, dtype=np.float64)
     negatives = np.asarray(negatives, dtype=np.float64)
@@ -66,55 +92,21 @@ def train_linear_svm(
     if positives.shape[0] == 0:
         raise ValueError("at least one positive sample is required")
     dim = positives.shape[1]
-    if negatives.shape[0] == 0:
-        # Nothing to separate from: accept everything.
-        return SvmModel(np.zeros(dim), 1.0)
     if negatives.shape[1] != dim:
         raise ValueError("positive and negative samples disagree on dimension")
 
-    points = np.vstack([positives, negatives])
-    labels = np.concatenate(
-        [np.ones(len(positives)), -np.ones(len(negatives))]
-    )
-
-    # Max-abs feature scaling for conditioning.
-    scale = np.maximum(np.abs(points).max(axis=0), 1.0)
-    scaled = points / scale
-    # Fold in the bias feature.
-    data = np.hstack([scaled, np.full((len(scaled), 1), bias_scale)])
-
-    n, d = data.shape
-    alpha = np.zeros(n)
-    w = np.zeros(d)
-    q_diag = np.einsum("ij,ij->i", data, data)
-    q_diag = np.where(q_diag <= 0.0, 1.0, q_diag)
-    rng = np.random.default_rng(seed)
-    order = np.arange(n)
-
-    for _ in range(max_epochs):
-        rng.shuffle(order)
-        max_violation = 0.0
-        for i in order:
-            gradient = labels[i] * (data[i] @ w) - 1.0
-            projected = gradient
-            if alpha[i] <= 0.0:
-                projected = min(gradient, 0.0)
-            elif alpha[i] >= c:
-                projected = max(gradient, 0.0)
-            if projected == 0.0:
-                continue
-            max_violation = max(max_violation, abs(projected))
-            old = alpha[i]
-            alpha[i] = min(max(old - gradient / q_diag[i], 0.0), c)
-            delta = (alpha[i] - old) * labels[i]
-            if delta != 0.0:
-                w = w + delta * data[i]
-        if max_violation < tol:
-            break
-
-    weights = w[:dim] / scale
-    # sia: allow-float -- documented learn-boundary crossing: the SVM is
-    # float-native; rationalize_weights() restores exactness before the
-    # hyperplane re-enters the SMT pipeline.
-    bias = float(w[dim] * bias_scale)
-    return SvmModel(weights, bias)
+    scale = np.maximum(np.abs(np.vstack([positives, negatives])).max(axis=0), 1.0)
+    pos_rows = np.hstack([positives / scale, np.ones((len(positives), 1))])
+    neg_rows = -np.hstack([negatives / scale, np.ones((len(negatives), 1))])
+    while len(neg_rows):
+        w, u = least_distance(np.vstack([pos_rows, neg_rows]))
+        if w is not None:
+            # sia: allow-float -- documented learn-boundary crossing: the
+            # solver is float-native; rationalize_weights() restores
+            # exactness before the direction re-enters the SMT pipeline.
+            return SvmModel(w[:dim] / scale)
+        # A zero residual puts half the certificate's weight on FALSE
+        # rows (the bias row reads sum(y_i u_i) = 0, sum(u_i) = 1), so
+        # every round drops at least one.
+        neg_rows = neg_rows[u[len(pos_rows):] <= 0]
+    return SvmModel(np.zeros(dim))

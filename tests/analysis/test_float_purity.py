@@ -24,8 +24,9 @@ FLOAT_RULES = {"SIA001", "SIA002", "SIA003"}
 # The documented float sites, by file.  repro/smt/sat.py holds the
 # VSIDS activity heuristic (floats never reach theory arithmetic);
 # repro/predicates/eval.py is the vectorised engine-evaluation
-# boundary; the two learn/ files are the paper's float->Fraction
-# crossing (DESIGN.md substitution table); repro/smt/backend.py snaps
+# boundary; learn/rationalize.py is the paper's float->integer
+# crossing (DESIGN.md substitution table) -- learn/svm.py hands numpy
+# weights to it without a cast; repro/smt/backend.py snaps
 # float tableau candidates onto exact bounds (the two-tier
 # orchestrator's single comparison boundary).  repro/smt/floatsimplex.py
 # is deliberately absent: it is the float-tier *zone*, not a crossing
@@ -34,7 +35,6 @@ SANCTIONED_FILES = {
     "src/repro/smt/sat.py",
     "src/repro/smt/backend.py",
     "src/repro/predicates/eval.py",
-    "src/repro/learn/svm.py",
     "src/repro/learn/rationalize.py",
 }
 
@@ -88,9 +88,9 @@ def test_certify_is_exact_zone_despite_living_under_analysis():
     assert [f.rule for f in findings] == ["SIA001"]
 
 
-def test_the_two_learn_crossings_are_where_documented():
+def test_the_learn_crossing_is_where_documented():
     findings = _float_findings([SRC / "learn"], honor_pragmas=False)
     casts = sorted(
         (Path(f.file).name, f.rule) for f in findings if f.rule == "SIA002"
     )
-    assert casts == [("rationalize.py", "SIA002"), ("svm.py", "SIA002")]
+    assert casts == [("rationalize.py", "SIA002")]

@@ -1,12 +1,16 @@
 """Tests for the Learn procedure (Algorithm 2)."""
 
+import dataclasses
+import datetime as dt
 import random
 from fractions import Fraction
 
 import pytest
 
-from repro.core import SIA_DEFAULT, learn
+from repro import tpch
+from repro.core import OPTIMAL, SIA_DEFAULT, Synthesizer, learn
 from repro.errors import SynthesisError
+from repro.predicates import eval_pred_py
 from repro.smt import Var
 
 X = Var("x")
@@ -102,3 +106,34 @@ def test_identical_true_false_points_forced_plane():
     fs = pts([5])
     predicate = run_learn(ts, fs)
     assert predicate.accepts({X: Fraction(5)})
+
+
+def test_forced_plane_honours_max_denominator():
+    """Every FALSE sample lies inside the TRUE triangle, so the learner
+    drops them all and the forced plane takes the centroid direction
+    (32.3, 23.3); the configured grid must bound its coefficients."""
+    ts = pts2([(0, 0), (100, 0), (0, 100)])
+    fs = pts2([(10, 3), (20, 5), (1, 22)])
+    coarse = dataclasses.replace(SIA_DEFAULT, max_denominator=8)
+    (plane,) = learn(ts, fs, [X, Y], coarse, random.Random(0)).planes
+    assert max(abs(weight) for _, weight in plane.coeffs) <= 8
+    (fine,) = run_learn(ts, fs, variables=[X, Y]).planes
+    assert max(abs(weight) for _, weight in fine.coeffs) > 8
+    for point in ts:
+        assert plane.accepts(point)
+
+
+def test_two_date_cell_converges_in_two_iterations():
+    """First seed-42 generator query over {l_shipdate, l_receiptdate}:
+    the max-margin direction is exactly receipt - ship, so CEGIS reaches
+    the optimal predicate at once (a 300-epoch coordinate-descent
+    learner stopped at [64, -63] and needed 14 iterations)."""
+    query = tpch.generate_workload(1, seed=42)[0]
+    ship, _, receipt = tpch.LINEITEM_DATES
+    outcome = Synthesizer(SIA_DEFAULT).synthesize(query.predicate, {ship, receipt})
+    assert outcome.status == OPTIMAL
+    assert outcome.iterations <= 2
+    base = dt.date(1995, 8, 27)
+    for gap in (-101, -100, -99, 0, 50):
+        row = {ship: base, receipt: base + dt.timedelta(days=gap)}
+        assert eval_pred_py(outcome.predicate, row) is (gap > -100)
