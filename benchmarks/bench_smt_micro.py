@@ -11,9 +11,7 @@ Two entry points share the workload bodies below:
 * ``python benchmarks/bench_smt_micro.py`` times them standalone and
   writes ``BENCH_smt_micro.json`` at the repo root (median/p95 per
   benchmark plus the :data:`repro.smt.stats.GLOBAL_COUNTERS` delta),
-  including a warm-vs-cold CEGIS comparison that measures how many
-  solver constructions :class:`repro.smt.SmtSession` saves per
-  synthesized query.
+  including whole CEGIS syntheses over a small workload.
 """
 
 import argparse
@@ -25,7 +23,6 @@ from repro.smt import (
     SAT,
     Atom,
     LinExpr,
-    SmtSession,
     Solver,
     Var,
     compare,
@@ -127,26 +124,13 @@ def test_disjunctive_formula_check(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Warm session vs. fresh solvers
+# One fresh solver per probe
 # ----------------------------------------------------------------------
 _PROBE_POINTS = [random.Random(11).randint(0, 90) for _ in range(40)]
 
 
-def run_session_scoped_probes():
-    """One warm session; each probe is a pushed/retracted scope."""
-    session = SmtSession()
-    session.assert_base(_CONJUNCTION)
-    sat = 0
-    for point in _PROBE_POINTS:
-        scope = session.push(compare(ex, "=", c(point)), label="probe")
-        if session.check() == SAT:
-            sat += 1
-        scope.retract()
-    return sat
-
-
 def run_fresh_solver_probes():
-    """The historical pattern: a cold solver per probe."""
+    """A fresh solver per probe, the pattern Verify and CounterT use."""
     sat = 0
     for point in _PROBE_POINTS:
         solver = Solver()
@@ -156,16 +140,8 @@ def run_fresh_solver_probes():
     return sat
 
 
-def test_session_scoped_probes(benchmark):
-    benchmark(run_session_scoped_probes)
-
-
 def test_fresh_solver_probes(benchmark):
     benchmark(run_fresh_solver_probes)
-
-
-def test_session_and_fresh_probes_agree():
-    assert run_session_scoped_probes() == run_fresh_solver_probes()
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +213,6 @@ MICRO_RUNNERS = {
     "model_enumeration_50": run_model_enumeration_50,
     "quantifier_elimination": run_quantifier_elimination,
     "disjunctive_formula_check": run_disjunctive_formula_check,
-    "session_scoped_probes": run_session_scoped_probes,
     "fresh_solver_probes": run_fresh_solver_probes,
     "unsat_with_proof_logging": run_unsat_with_proof_logging,
     "unsat_with_core_minimization": run_unsat_with_core_minimization,
@@ -266,8 +241,7 @@ def _cegis_cells(num_queries: int, seed: int):
     """(predicate, subset) synthesis cells over date-column pairs.
 
     Two-column subsets drive multi-iteration CEGIS loops (single
-    columns mostly converge in one round, where a warm session has
-    nothing to amortize).
+    columns mostly converge in one round).
     """
     import itertools
 
@@ -281,83 +255,32 @@ def _cegis_cells(num_queries: int, seed: int):
     return cells
 
 
-def _run_cegis(
-    cells,
-    *,
-    warm: bool,
-    float_filter: str | None = None,
-    pooled: bool = False,
-) -> dict:
-    from contextlib import nullcontext
+def _run_cegis(cells, *, float_filter: str | None = None) -> dict:
     from dataclasses import replace
 
     from repro.bench.perflog import summarize_times
     from repro.core import SIA_DEFAULT, Synthesizer
-    from repro.smt import session_pool
 
-    config = replace(SIA_DEFAULT, warm_sessions=warm)
+    config = SIA_DEFAULT
     if float_filter is not None:
         config = replace(config, float_filter=float_filter)
     before = GLOBAL_COUNTERS.snapshot()
     times_ms = []
-    with session_pool() if pooled else nullcontext():
-        for predicate, subset in cells:
-            start = now()
-            Synthesizer(config).synthesize(predicate, set(subset))
-            times_ms.append((now() - start) * 1000.0)
+    for predicate, subset in cells:
+        start = now()
+        Synthesizer(config).synthesize(predicate, set(subset))
+        times_ms.append((now() - start) * 1000.0)
     entry = summarize_times(times_ms)
     entry["counters"] = GLOBAL_COUNTERS.delta_since(before)
     entry["solver_constructions_per_query"] = round(
         entry["counters"]["solvers_constructed"] / max(len(cells), 1), 3
     )
-    counters = entry["counters"]
-    entry["session_pool_hit_rate"] = round(
-        counters.get("sessions_reused", 0)
-        / max(
-            counters.get("sessions_created", 0)
-            + counters.get("sessions_reused", 0),
-            1,
-        ),
-        3,
-    )
     return entry
 
 
-def cegis_warm_vs_cold(num_queries: int, seed: int) -> dict[str, dict]:
-    """Warm-session vs. fresh-solver CEGIS over a small workload.
-
-    The acceptance bar for the warm-session work: at least 2x fewer
-    solver constructions per synthesized query, and a lower median
-    wall-clock, both recorded in the JSON trajectory.
-    """
-    cells = _cegis_cells(num_queries, seed)
-    warm = _run_cegis(cells, warm=True)
-    cold = _run_cegis(cells, warm=False)
-    # The sharded driver's worker configuration: warm sessions plus a
-    # process-lifetime session pool, so leases over a recurring base
-    # formula (every iteration's TRUE sampler) resume a warm session.
-    pooled = _run_cegis(cells, warm=True, pooled=True)
-    ratio = cold["solver_constructions_per_query"] / max(
-        warm["solver_constructions_per_query"], 1e-9
-    )
-    comparison = {
-        "queries": len(cells),
-        "construction_ratio_cold_over_warm": round(ratio, 2),
-        "median_speedup": round(
-            cold["median_ms"] / max(warm["median_ms"], 1e-9), 3
-        ),
-        "p95_speedup": round(cold["p95_ms"] / max(warm["p95_ms"], 1e-9), 3),
-        "pooled_median_speedup_over_warm": round(
-            warm["median_ms"] / max(pooled["median_ms"], 1e-9), 3
-        ),
-        "pooled_hit_rate": pooled["session_pool_hit_rate"],
-    }
-    return {
-        "cegis/warm": warm,
-        "cegis/cold": cold,
-        "cegis/pooled": pooled,
-        "cegis/warm_vs_cold": comparison,
-    }
+def cegis_cold(num_queries: int, seed: int) -> dict[str, dict]:
+    """Whole CEGIS syntheses over a small workload (``cegis/cold``)."""
+    return {"cegis/cold": _run_cegis(_cegis_cells(num_queries, seed))}
 
 
 def cegis_tail(num_queries: int, seed: int) -> dict[str, dict]:
@@ -374,8 +297,8 @@ def cegis_tail(num_queries: int, seed: int) -> dict[str, dict]:
     from repro.smt.backend import FLOAT_OFF, FLOAT_TRUST_SAT
 
     cells = _cegis_cells(num_queries, seed)
-    on = _run_cegis(cells, warm=True, float_filter=FLOAT_TRUST_SAT)
-    off = _run_cegis(cells, warm=True, float_filter=FLOAT_OFF)
+    on = _run_cegis(cells, float_filter=FLOAT_TRUST_SAT)
+    off = _run_cegis(cells, float_filter=FLOAT_OFF)
     on_counters = on["counters"]
     comparison = {
         "queries": len(cells),
@@ -445,7 +368,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--cegis-queries", type=int, default=4,
-        help="workload queries for the warm-vs-cold CEGIS comparison",
+        help="workload queries for the CEGIS entries",
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--output", default=str(DEFAULT_PATH))
@@ -495,20 +418,11 @@ def main(argv=None) -> int:
                 f"({entries[name]['workers']} workers)"
             )
         if not args.skip_cegis:
-            entries.update(cegis_warm_vs_cold(args.cegis_queries, args.seed))
-            comparison = entries["cegis/warm_vs_cold"]
+            entries.update(cegis_cold(args.cegis_queries, args.seed))
+            cold = entries["cegis/cold"]
             print(
-                "cegis: warm constructs "
-                f"{entries['cegis/warm']['solver_constructions_per_query']} "
-                "solvers/query vs cold "
-                f"{entries['cegis/cold']['solver_constructions_per_query']} "
-                f"({comparison['construction_ratio_cold_over_warm']}x fewer), "
-                f"median speedup {comparison['median_speedup']}x"
-            )
-            print(
-                "cegis pooled: session-pool hit rate "
-                f"{comparison['pooled_hit_rate']}, median "
-                f"{comparison['pooled_median_speedup_over_warm']}x vs warm"
+                f"cegis: median {cold['median_ms']} ms, "
+                f"{cold['solver_constructions_per_query']} solvers/query"
             )
         if not args.skip_tail:
             entries.update(

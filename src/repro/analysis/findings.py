@@ -91,13 +91,6 @@ RULE_CATALOG: dict[str, RuleInfo] = {
             "values on UNSAT paths",
         ),
         RuleInfo(
-            "SIA009",
-            "direct Solver construction in the warm-session zone",
-            "route checks through SmtSession so CEGIS iterations share "
-            "one solver process; documented exceptions carry "
-            "'# sia: allow(SIA009)'",
-        ),
-        RuleInfo(
             "SIA010",
             "raw wall-clock read outside repro.obs.clock",
             "use repro.obs.now()/Timer so tests can install ManualClock; "
@@ -179,9 +172,8 @@ RULE_CATALOG: dict[str, RuleInfo] = {
         RuleInfo(
             "SIA403",
             "resource may not be released on every path",
-            "an SmtSession scope, tracer or file handle leaks on some "
-            "normal or exceptional path; use 'try/finally: retract()/"
-            "close()' or a with-block",
+            "a tracer or file handle leaks on some normal or exceptional "
+            "path; use 'try/finally: close()' or a with-block",
         ),
         RuleInfo(
             "SIA501",

@@ -35,9 +35,9 @@ Design points:
 * **``return``/``break``/``continue`` respect cleanups.**  An early
   exit inside ``try ... finally`` or a ``with`` block routes through
   the ``finally`` entry / the ``with`` exit instead of jumping
-  straight out -- the single most important edges for the must-retract
-  analysis (SIA403), whose canonical clean patterns are ``scope =
-  session.push(...); try: ... finally: scope.retract()`` and ``with
+  straight out -- the single most important edges for the must-close
+  analysis (SIA403), whose canonical clean patterns are ``handle =
+  open(...); try: ... finally: handle.close()`` and ``with
   open(...) as f: return f.read()``.  A cleanup's continuation edge
   toward the exit (or the next outer cleanup) exists only when a
   ``return`` actually routed through it, so normal completions do not

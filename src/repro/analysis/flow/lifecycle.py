@@ -1,19 +1,16 @@
-"""SIA403: must-close / must-retract along every path.
+"""SIA403: must-close along every path.
 
-Warm CEGIS keeps one Z3 process alive across queries; a
-:class:`~repro.smt.session.SmtSession` scope that is pushed but not
-retracted on some path poisons every later query in the session, and a
-leaked tracer file handle loses buffered spans.  The syntactic linter
-cannot see "some path": this pass runs the resource facts through the
-CFG, exceptional edges included.
+A leaked tracer file handle loses buffered spans, and a leaked file
+handle holds its descriptor until the collector gets round to it.  The
+syntactic linter cannot see "some path": this pass runs the resource
+facts through the CFG, exceptional edges included.
 
-*Acquisitions* are ``open(...)`` calls, ``<expr>.push(...)`` calls
-(session scopes and activation literals), and
-``install_file_tracer(...)``.  Each call site becomes an abstract
-resource; the site is *live* from the acquisition until a matching
-release reaches it on that path:
+*Acquisitions* are ``open(...)`` and ``install_file_tracer(...)``
+calls.  Each call site becomes an abstract resource; the site is
+*live* from the acquisition until a matching release reaches it on
+that path:
 
-* ``x.close()`` / ``x.retract()`` on a name bound to the site,
+* ``x.close()`` on a name bound to the site,
 * leaving a ``with`` block whose context expression produced the site
   (the exit runs on the exceptional path too, mirroring runtime
   ``__exit__`` semantics),
@@ -24,8 +21,8 @@ release reaches it on that path:
 
 A site still live in the state flowing into the function's exit block
 is reported at its acquisition line: some normal or exceptional path
-reaches function exit without releasing it.  ``try/finally: retract``
-is clean by construction; suppress deliberate leaks (process-lifetime
+reaches function exit without releasing it.  ``try/finally: close`` is
+clean by construction; suppress deliberate leaks (process-lifetime
 handles) with ``# sia: allow(SIA403)``.
 """
 
@@ -44,14 +41,13 @@ __all__ = ["analyze_lifecycle"]
 #: State cell holding the set of may-live (unreleased) site keys.
 _LIVE = "<live>"
 
-_RELEASE_METHODS = frozenset({"close", "retract"})
+_RELEASE_METHODS = frozenset({"close"})
 
 _ACQUIRE_NAME_CALLS = frozenset({"open", "install_file_tracer"})
 
 _KIND_LABEL = {
     "open": "file handle from open()",
     "install_file_tracer": "tracer from install_file_tracer()",
-    "push": "SMT scope from .push()",
 }
 
 
@@ -68,15 +64,11 @@ def _acquisitions(expr: ast.expr) -> list[ast.Call]:
         func = node.func
         if isinstance(func, ast.Name) and func.id in _ACQUIRE_NAME_CALLS:
             out.append(node)
-        elif isinstance(func, ast.Attribute) and func.attr == "push":
-            out.append(node)
     return out
 
 
 def _acquisition_kind(call: ast.Call) -> str:
     func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
     assert isinstance(func, ast.Name)
     return func.id
 
@@ -202,7 +194,7 @@ class _LifecycleState(FlowAnalysis):
                 if value is not None:
                     self._release(out, self._sites_of(value, out))
             else:
-                # Bare acquisition (``session.push(...)`` discarded):
+                # Bare acquisition (``open(path)`` discarded):
                 # nothing can ever release it -- live immediately.
                 out[_LIVE] = out[_LIVE] | self._register(stmt.value)
         elif isinstance(stmt, ast.Delete):

@@ -37,14 +37,6 @@ file and enforces them directly:
   ``while``/``assert`` condition.  A bare ``solver.check()`` statement
   whose verdict is discarded does *not* count.
 
-* **Warm-session discipline** (SIA009), enforced under ``repro/core/``:
-  constructing a bare ``Solver(...)`` there bypasses the persistent
-  :class:`~repro.smt.session.SmtSession` layer (activation literals,
-  counter reuse, docs/INTERNALS.md "Incremental sessions").  Core code
-  must route checks through a session, or through
-  ``certified_solver`` for proof-logged verdicts; deliberate
-  exceptions carry ``# sia: allow(SIA009)``.
-
 * **Clock discipline** (SIA010), enforced everywhere except
   ``repro/obs/clock.py`` itself: durations must be measured on the
   injectable clock (:func:`repro.obs.clock.now`), never on
@@ -105,10 +97,6 @@ _SANCTIONED_MUTATORS = frozenset(
     {"__init__", "__post_init__", "__new__", "__setattr__", "__delattr__"}
 )
 
-# Files under the core zone that may construct Solver directly (SIA009)
-# -- a session-layer module would live here if core ever grew one.
-_SESSION_MODULES = frozenset({"session.py"})
-
 # Wall-clock reads that must route through repro.obs.clock (SIA010).
 _CLOCK_ATTRS = frozenset(
     {"time", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns"}
@@ -138,9 +126,6 @@ class _Linter(ast.NodeVisitor):
         self.path = path
         self.zone = zone
         parts = Path(path).parts
-        self._core_zone = (
-            "core" in parts and Path(path).name not in _SESSION_MODULES
-        )
         # Only repro/obs/clock.py may read the real clock (SIA010);
         # every other obs/ module (heartbeat, export, ledger, top) is
         # telemetry code whose timestamps must honor ManualClock.
@@ -288,17 +273,6 @@ class _Linter(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if self._core_zone and (
-            (isinstance(func, ast.Name) and func.id == "Solver")
-            or (isinstance(func, ast.Attribute) and func.attr == "Solver")
-        ):
-            self._report(
-                node,
-                "SIA009",
-                "direct Solver(...) construction bypasses the warm "
-                "session layer; use SmtSession (or certified_solver "
-                "for proof-logged verdicts)",
-            )
         if (
             not self._obs_zone
             and isinstance(func, ast.Attribute)

@@ -80,7 +80,7 @@ def run(
 
     ``workers > 1`` hands the pending queries to the sharded
     work-stealing driver (:mod:`repro.bench.parallel`): queries with
-    any missing cell run as whole batches on persistent warm workers
+    any missing cell run as whole batches on persistent workers
     and only the cells absent from the checkpoint are appended, so
     parallel and sequential runs extend the same file
     interchangeably.  The driver's scheduling statistics land in

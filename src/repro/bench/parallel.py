@@ -1,4 +1,4 @@
-"""Sharded parallel workload driver with persistent warm workers.
+"""Sharded parallel workload driver with persistent workers.
 
 The Table-2/3 efficacy experiment is embarrassingly parallel: every
 (query, column subset, technique) cell is an independent synthesis
@@ -6,10 +6,9 @@ run.  Historically this module fanned queries over a static
 ``ProcessPoolExecutor``; it is now a sharded work queue over
 **persistent** worker processes:
 
-* **Warm workers.**  Each worker installs a
-  :class:`~repro.smt.session.SessionPool` for its whole lifetime, so
-  ``SmtSession``/enumerator state survives *across* queries, not just
-  within one (extending the PR 3 lifecycle).
+* **Persistent workers.**  Each worker process lives for the whole
+  run and pulls query after query, so process start-up and imports
+  are paid once per worker.
 * **Longest-expected-first shards.**  Queries are ranked by the
   :mod:`repro.bench.schedule` cost model (seeded from
   ``engine/statistics`` cardinalities) and LPT-assigned, so long-tail
@@ -29,9 +28,8 @@ run.  Historically this module fanned queries over a static
 Determinism is unchanged from the static driver: the workload seed
 fixes every predicate in the parent, each cell's synthesis RNG is
 seeded from its ``SiaConfig`` alone, all cells of one query run
-consecutively on one worker in canonical order (which also pins the
-session pool's warm-state trajectory), and batches are merged by
-ascending query index, never arrival order.  Workers ship records as
+consecutively on one worker in canonical order, and batches are merged
+by ascending query index, never arrival order.  Workers ship records as
 JSON payloads (the ``fullscale`` checkpoint encoding) plus their
 :data:`~repro.smt.stats.GLOBAL_COUNTERS` and
 :data:`~repro.obs.metrics.GLOBAL_METRICS` deltas; scheduling
@@ -390,12 +388,11 @@ def _worker_main(
 ) -> None:
     """Persistent worker loop (top-level so spawn can pickle it).
 
-    Pulls ``(query, attempt)`` tasks until the ``None`` sentinel.  One
-    session pool spans the whole loop -- that is the point: warm
-    sessions survive across queries.  Every result message carries the
-    batch payloads, both registry deltas, the drained sanitizer report
-    (when installed), the wait/busy timings the parent folds into the
-    pool statistics, and (telemetry runs) the batch's ledger entries.
+    Pulls ``(query, attempt)`` tasks until the ``None`` sentinel.
+    Every result message carries the batch payloads, both registry
+    deltas, the drained sanitizer report (when installed), the
+    wait/busy timings the parent folds into the pool statistics, and
+    (telemetry runs) the batch's ledger entries.
 
     ``beacon_queue`` is the telemetry side channel: when given, a
     daemon :class:`~repro.obs.heartbeat.HeartbeatEmitter` posts one
@@ -405,8 +402,6 @@ def _worker_main(
     """
     _apply_env_overrides(env_overrides)
     sanitizer = maybe_install_sanitizer()
-    from ..smt.session import session_pool
-
     telemetry = beacon_queue is not None
     emitter = None
     if telemetry:
@@ -423,42 +418,41 @@ def _worker_main(
         )
     )
     try:
-        with session_pool():
-            while True:
-                wait_start = _now()
-                task = task_queue.get()
-                wait_ms = (_now() - wait_start) * 1000.0
-                if task is None:
-                    break
-                wq, attempt = task
-                if attempt == 0 and os.environ.get(CRASH_ENV) == str(wq.index):
-                    os._exit(3)  # fault injection, see CRASH_ENV
-                busy_start = _now()
-                index, payloads, delta, metrics_delta, ledger_entries = (
-                    _query_batch(
-                        wq, techniques, deadline_ms, telemetry=telemetry
-                    )
+        while True:
+            wait_start = _now()
+            task = task_queue.get()
+            wait_ms = (_now() - wait_start) * 1000.0
+            if task is None:
+                break
+            wq, attempt = task
+            if attempt == 0 and os.environ.get(CRASH_ENV) == str(wq.index):
+                os._exit(3)  # fault injection, see CRASH_ENV
+            busy_start = _now()
+            index, payloads, delta, metrics_delta, ledger_entries = (
+                _query_batch(
+                    wq, techniques, deadline_ms, telemetry=telemetry
                 )
-                busy_ms = (_now() - busy_start) * 1000.0
-                report = (
-                    sanitizer.drain().to_json()
-                    if sanitizer is not None
-                    else None
+            )
+            busy_ms = (_now() - busy_start) * 1000.0
+            report = (
+                sanitizer.drain().to_json()
+                if sanitizer is not None
+                else None
+            )
+            result_queue.put(
+                (
+                    "done",
+                    worker_id,
+                    index,
+                    payloads,
+                    delta,
+                    metrics_delta,
+                    report,
+                    busy_ms,
+                    wait_ms,
+                    ledger_entries,
                 )
-                result_queue.put(
-                    (
-                        "done",
-                        worker_id,
-                        index,
-                        payloads,
-                        delta,
-                        metrics_delta,
-                        report,
-                        busy_ms,
-                        wait_ms,
-                        ledger_entries,
-                    )
-                )
+            )
     finally:
         if emitter is not None:
             emitter.stop()
@@ -484,15 +478,10 @@ def _run_inline(
 ) -> tuple[dict, dict[int, dict]]:
     """The ``workers <= 1`` path: same pipeline, no processes.
 
-    Installs the same worker-lifetime session pool the sharded path
-    gives each worker, so a single-process run exercises (and its
-    records reflect) the identical warm-session trajectory.  With
-    telemetry on, the single "worker" (id 0) runs the same emitter
+    With telemetry on, the single "worker" (id 0) runs the same emitter
     thread over an in-process channel, so the heartbeat log has the
     same shape as a sharded run's.
     """
-    from ..smt.session import session_pool
-
     recorder = emitter = channel = None
     if telemetry is not None:
         recorder = _TelemetryRecorder(telemetry, workers=1)
@@ -505,29 +494,28 @@ def _run_inline(
     busy_ms = 0.0
     done = 0
     try:
-        with session_pool():
-            for wq in queries:
-                sanitizer = maybe_install_sanitizer()
-                start = _now()
-                index, payloads, delta, metrics_delta, entries = _query_batch(
-                    wq, techniques, deadline_ms,
-                    telemetry=telemetry is not None,
+        for wq in queries:
+            sanitizer = maybe_install_sanitizer()
+            start = _now()
+            index, payloads, delta, metrics_delta, entries = _query_batch(
+                wq, techniques, deadline_ms,
+                telemetry=telemetry is not None,
+            )
+            busy_ms += (_now() - start) * 1000.0
+            batches[index] = payloads
+            deltas[index] = (delta, metrics_delta)
+            ledgers[index] = entries
+            done += 1
+            if sanitizer is not None:
+                reports.append(sanitizer.drain().to_json())
+            if recorder is not None:
+                recorder.fold(channel.drain())
+                recorder.driver_line(
+                    done=done,
+                    total=len(queries),
+                    queue_depth=len(queries) - done,
                 )
-                busy_ms += (_now() - start) * 1000.0
-                batches[index] = payloads
-                deltas[index] = (delta, metrics_delta)
-                ledgers[index] = entries
-                done += 1
-                if sanitizer is not None:
-                    reports.append(sanitizer.drain().to_json())
-                if recorder is not None:
-                    recorder.fold(channel.drain())
-                    recorder.driver_line(
-                        done=done,
-                        total=len(queries),
-                        queue_depth=len(queries) - done,
-                    )
-                    recorder.check_silence()
+                recorder.check_silence()
     finally:
         if emitter is not None:
             emitter.stop()

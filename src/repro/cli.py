@@ -533,7 +533,7 @@ def _cmd_bench_fullscale(args: argparse.Namespace, workers: int) -> int:
     Every finished (query, subset, technique) cell appends one JSON
     line to the checkpoint, so an interrupted run resumes where it
     stopped; ``--parallel N`` fans pending queries over the sharded
-    warm-worker driver.  The perf entry lands as ``parallel/fullscale``
+    worker driver.  The perf entry lands as ``parallel/fullscale``
     with the scheduler statistics attached.
     """
     import json
@@ -681,9 +681,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(
         "solver counters: "
         f"{counters.get('solvers_constructed', 0)} constructed, "
-        f"{counters.get('checks', 0)} checks "
-        f"({counters.get('session_checks', 0)} served warm by "
-        f"{counters.get('sessions_created', 0)} sessions), "
+        f"{counters.get('checks', 0)} checks, "
         f"{counters.get('clauses_learned', 0)} clauses learned"
     )
     _print_pool_stats(result.pool, result.metrics)

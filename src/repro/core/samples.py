@@ -18,6 +18,7 @@ strategy (used by the ablation benchmark) skips the randomisation.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,14 +29,16 @@ from ..smt import (
     NE,
     SAT,
     Atom,
+    BVar,
     Formula,
     LinExpr,
+    Not,
+    Solver,
     SolverError,
     Var,
     compare,
     conj,
     disj,
-    lease_session,
 )
 from ..smt.theory import SolverBudgetError
 from .config import RANDOM_BOX, SiaConfig
@@ -124,42 +127,31 @@ class Sampler:
     ) -> SampleSet:
         points: list[Point] = []
         all_known = list(existing or [])
-        # One persistent session serves every sample of this call
-        # (base + box + growing NotOld); randomised sub-regions are
-        # layered on via *assumptions* and the sampling box rides in a
-        # retractable scope, so a single warm CDCL instance covers both
-        # the boxed search and the unboxed fallback (historically two
-        # separate solvers, rebuilt per call).
-        enumerator = _IncrementalEnumerator(
+        # One solver serves every sample of this call (base + box +
+        # growing NotOld); randomised sub-regions are layered on via
+        # *assumptions*, and the box guard is one more assumption, so
+        # the unboxed fallback is the same solver checked without it.
+        enumerator = IncrementalEnumerator(
             base, variables, all_known, self.config, with_box=True
         )
-
-        try:
-            for _ in range(count):
-                point = None
-                for attempt in range(random_attempts):
-                    assumptions = self._random_region_atoms(variables)
-                    if attempt == 0:
-                        assumptions += self._nonzero_atoms(variables)
-                    point = enumerator.next(all_known, assumptions=assumptions)
-                    if point is not None:
-                        break
-                if point is None:
-                    point = enumerator.next(all_known)
-                if point is None:
-                    # Unboxed fallback: same session, box scope disabled.
-                    point = enumerator.next(all_known, boxed=False)
-                if point is None:
-                    return SampleSet(points, exhausted=True)
-                points.append(point)
-                all_known.append(point)
-            return SampleSet(points, exhausted=False)
-        finally:
-            # Retract the box scope before abandoning the session;
-            # without this every sampling call leaked one opened scope
-            # into the counters (the `scopes_retracted: 0` artifact in
-            # the cold-path bench rows).
-            enumerator.close()
+        for _ in range(count):
+            point = None
+            for attempt in range(random_attempts):
+                assumptions = self._random_region_atoms(variables)
+                if attempt == 0:
+                    assumptions += self._nonzero_atoms(variables)
+                point = enumerator.next(all_known, assumptions=assumptions)
+                if point is not None:
+                    break
+            if point is None:
+                point = enumerator.next(all_known)
+            if point is None:
+                point = enumerator.next(all_known, boxed=False)
+            if point is None:
+                return SampleSet(points, exhausted=True)
+            points.append(point)
+            all_known.append(point)
+        return SampleSet(points, exhausted=False)
 
     # ------------------------------------------------------------------
     def _random_region_atoms(self, variables: list[Var]) -> list:
@@ -191,8 +183,14 @@ class Sampler:
         return atoms
 
 
+#: Source of unique box-guard names.  Guards live in the interned
+#: BVar namespace of user formulas; the dunder prefix keeps them out of
+#: the way of SQL-derived names.
+_guard_ids = itertools.count()
+
+
 class IncrementalEnumerator:
-    """A warm session kept across samples: blocks each returned point.
+    """One solver for a whole enumeration: blocks each returned point.
 
     All additions are monotone (more constraints, more blocked
     points), so one CDCL instance with its learned clauses serves an
@@ -200,17 +198,10 @@ class IncrementalEnumerator:
     cheap.  ``add`` conjoins further constraints (e.g. newly learned
     valid predicates in the FALSE counter-example search).
 
-    The sampling box is held in a retractable scope rather than
-    asserted outright, so the unboxed fallback (``next(...,
-    boxed=False)``) reuses the same warm session instead of building a
-    second solver over the same base formula.
-
-    The session comes from a :func:`repro.smt.lease_session` lease:
-    with a :class:`~repro.smt.SessionPool` installed (worker processes
-    of the sharded driver), enumerations over a recurring base formula
-    -- every CEGIS iteration's TRUE sampler shares one base -- reuse a
-    warm pooled session, and all additions ride in the lease's
-    retractable work scope so nothing leaks into the next checkout.
+    The sampling box is asserted behind one guard literal ``g`` as
+    ``~g | box``: boxed checks assume ``g``, so the unboxed fallback
+    (``next(..., boxed=False)``) is the same solver checked without
+    that assumption.
     """
 
     def __init__(
@@ -223,28 +214,30 @@ class IncrementalEnumerator:
         with_box: bool,
     ) -> None:
         self.variables = variables
-        self._lease = lease_session(
-            (base,),
-            bnb_budget=config.bnb_budget,
-            float_filter=config.float_filter,
+        self._solver = Solver(
+            bnb_budget=config.bnb_budget, float_filter=config.float_filter
         )
-        self.session = self._lease.session
-        self._box_scope = (
-            self._lease.push(
-                box_formula(variables, config.sample_box), label="sample-box"
+        self._solver.add(base)
+        self._guard: BVar | None = None
+        if with_box:
+            self._guard = BVar(f"__sia_box_{next(_guard_ids)}__")
+            self._solver.add(
+                disj(
+                    [
+                        Not(self._guard),
+                        box_formula(variables, config.sample_box),
+                    ]
+                )
             )
-            if with_box
-            else None
-        )
         self.blocked = 0
         self._block(known)
 
     def add(self, formula: Formula) -> None:
-        self._lease.add(formula)
+        self._solver.add(formula)
 
     def _block(self, points: list[Point]) -> None:
         for point in points[self.blocked:]:
-            self._lease.add(not_old_formula([point], self.variables))
+            self._solver.add(not_old_formula([point], self.variables))
             self.blocked += 1
 
     def next(
@@ -255,28 +248,17 @@ class IncrementalEnumerator:
         boxed: bool = True,
     ) -> Point | None:
         self._block(known)
-        disable = (
-            [self._box_scope]
-            if (not boxed and self._box_scope is not None)
-            else []
+        lits: list[Formula] = (
+            [self._guard] if boxed and self._guard is not None else []
         )
+        lits.extend(assumptions or [])
         try:
-            if self.session.check(assumptions, disable=disable) != SAT:
+            if self._solver.check(lits) != SAT:
                 return None
         except (SolverError, SolverBudgetError):
             return None
-        model = self.session.model()
+        model = self._solver.model()
         return {var: model.value(var) for var in self.variables}
-
-    def close(self) -> None:
-        """Release the session lease: retracts the box and work scopes
-        and returns the session to the pool (or closes it when
-        unpooled).  Idempotent."""
-        self._lease.release()
-
-
-# Backwards-compatible alias used inside Sampler.
-_IncrementalEnumerator = IncrementalEnumerator
 
 
 def enumerate_all(
@@ -291,26 +273,19 @@ def enumerate_all(
     section 5.3).  ``exhausted=True`` means the enumeration completed;
     ``False`` means the limit was hit."""
     points: list[Point] = []
-    lease = lease_session(
-        (base,), bnb_budget=bnb_budget, float_filter=float_filter
-    )
-    try:
-        for _ in range(limit):
-            try:
-                if lease.check() != SAT:
-                    return SampleSet(points, exhausted=True)
-            except (SolverError, SolverBudgetError):
-                return SampleSet(points, exhausted=False)
-            model = lease.model()
-            point = {var: model.value(var) for var in variables}
-            points.append(point)
-            lease.add(not_old_formula([point], variables))
-        return SampleSet(points, exhausted=False)
-    finally:
-        # Historically this session was simply abandoned (leaked
-        # scopes and an unbalanced sessions_created); releasing the
-        # lease balances the counters and lets a pool reuse it.
-        lease.release()
+    solver = Solver(bnb_budget=bnb_budget, float_filter=float_filter)
+    solver.add(base)
+    for _ in range(limit):
+        try:
+            if solver.check() != SAT:
+                return SampleSet(points, exhausted=True)
+        except (SolverError, SolverBudgetError):
+            return SampleSet(points, exhausted=False)
+        model = solver.model()
+        point = {var: model.value(var) for var in variables}
+        points.append(point)
+        solver.add(not_old_formula([point], variables))
+    return SampleSet(points, exhausted=False)
 
 
 def point_key(point: Point, variables: list[Var]) -> tuple[Fraction, ...]:

@@ -54,13 +54,8 @@ from .result import (
     SynthesisOutcome,
     Timings,
 )
-from .samples import (
-    IncrementalEnumerator,
-    Sampler,
-    enumerate_all,
-    not_old_formula,
-)
-from .verify import PredicateVerifier, verify_implied
+from .samples import IncrementalEnumerator, Sampler, enumerate_all
+from .verify import PredicateVerifier
 
 
 @dataclass
@@ -201,8 +196,7 @@ def _implication_holds(
                 float_filter=float_filter,
             )
         from ..analysis.certify import audit_proof
-        from ..smt import UNSAT
-        from ..smt.session import certified_solver
+        from ..smt import UNSAT, certified_solver
 
         solver = certified_solver(
             [negated_implication],
@@ -330,34 +324,21 @@ class Synthesizer:
         iteration = 0
         status: str | None = None
         # Persistent FALSE counter-example enumerator: its constraint
-        # set (region AND p1 AND NotOld) only ever grows, so one warm
-        # CDCL instance serves the whole loop; the sampling box rides
-        # in a retractable scope, so the unboxed fallback reuses the
-        # same session instead of a second solver.
+        # set (region AND p1 AND NotOld) only ever grows, so one CDCL
+        # instance serves the whole loop; the sampling box sits behind
+        # a guard literal, so the unboxed fallback is the same solver.
         counter_f_enum = IncrementalEnumerator(
             region.formula, target_vars, fs, self.config, with_box=True
         )
-        # Warm Verify: T(p) asserted once, each candidate's NOT T(p1)
-        # pushed under an activation literal (certified configs keep
-        # the sealed fresh-solver path inside verify_implied).
-        verifier = (
-            PredicateVerifier(
-                pred,
-                ctx,
-                bnb_budget=self.config.verify_budget,
-                certify=self.config.certify_verify,
-                float_filter=self.config.float_filter,
-            )
-            if self.config.warm_sessions
-            else None
+        # Verify: T(p) computed once, each candidate's obligation
+        # checked on a fresh solver.
+        verifier = PredicateVerifier(
+            pred,
+            ctx,
+            bnb_budget=self.config.verify_budget,
+            certify=self.config.certify_verify,
+            float_filter=self.config.float_filter,
         )
-        # Warm TRUE counter-example mining: the base formula p is fixed
-        # across iterations, only NOT p2 varies, so one enumerator with
-        # the candidate scoped serves the whole loop.  No permanent
-        # blocking is needed: Learn guarantees every later candidate
-        # accepts all of Ts, so an old counter-example can never
-        # satisfy a later NOT p2 anyway.
-        counter_t_enum: IncrementalEnumerator | None = None
 
         deadline = (
             _clock_now() + self.config.timeout_ms / 1000.0
@@ -382,17 +363,7 @@ class Synthesizer:
                     # The tighter verify budget keeps dense-coefficient
                     # integer feasibility checks from crawling; an unknown
                     # verdict is treated as invalid (sound, section 5.5).
-                    if verifier is not None:
-                        valid = verifier.verify(p2)
-                    else:
-                        valid = verify_implied(
-                            pred,
-                            p2,
-                            ctx,
-                            bnb_budget=self.config.verify_budget,
-                            certify=self.config.certify_verify,
-                            float_filter=self.config.float_filter,
-                        )
+                    valid = verifier.verify(p2)
                     verify_span.set(valid=valid)
                 trace = IterationTrace(index=iteration, learned=str(p2), valid=valid)
                 outcome.trace.append(trace)
@@ -432,8 +403,8 @@ class Synthesizer:
                         if not new_fs:
                             # The sampling box may be exhausted while
                             # unsatisfaction tuples remain outside it; try
-                            # unboxed (same warm session, box scope
-                            # disabled) before concluding anything.
+                            # unboxed (same solver, box guard not
+                            # assumed) before concluding anything.
                             for _ in range(want):
                                 point = counter_f_enum.next(
                                     fs + new_fs, boxed=False
@@ -485,48 +456,14 @@ class Synthesizer:
                         # point of Ts, and counter-examples must violate
                         # p2, so they are distinct by construction.  Only
                         # the points found within this call need blocking.
-                        if self.config.warm_sessions:
-                            if counter_t_enum is None:
-                                counter_t_enum = IncrementalEnumerator(
-                                    formula,
-                                    target_vars,
-                                    [],
-                                    self.config,
-                                    with_box=True,
-                                )
-                            # Candidate AND within-call blocking ride in one
-                            # retractable scope; nothing is blocked across
-                            # iterations (redundant by the Learn argument
-                            # above, and permanent NotOld atoms would bloat
-                            # every later theory round).
-                            scope = counter_t_enum.session.push(
-                                negate(p2.formula()), label="counter-t"
-                            )
-                            new_ts: list[Point] = []
-                            try:
-                                for _ in range(want):
-                                    point = counter_t_enum.next([])
-                                    if point is None:
-                                        point = counter_t_enum.next(
-                                            [], boxed=False
-                                        )
-                                    if point is None:
-                                        break
-                                    new_ts.append(point)
-                                    scope.add(
-                                        not_old_formula([point], target_vars)
-                                    )
-                            finally:
-                                scope.retract()
-                        else:
-                            counter_ts = sampler.sample(
-                                conj([formula, negate(p2.formula())]),
-                                target_vars,
-                                want,
-                                existing=None,
-                                random_attempts=0,
-                            )
-                            new_ts = counter_ts.points
+                        counter_ts = sampler.sample(
+                            conj([formula, negate(p2.formula())]),
+                            target_vars,
+                            want,
+                            existing=None,
+                            random_attempts=0,
+                        )
+                        new_ts = counter_ts.points
                         ct_span.set(found=len(new_ts))
                     if not new_ts:
                         # p implies p2 two-valuedly, yet 3VL verification
@@ -536,17 +473,6 @@ class Synthesizer:
                         break
                     trace.new_true = new_ts
                     ts.extend(new_ts)
-
-        # Teardown: retract the warm helpers' surviving scopes (the
-        # sampling boxes and the warm verifier's probes) so abandoning
-        # them does not leave scopes_opened permanently ahead of
-        # scopes_retracted -- the counter gap the cold-path bench rows
-        # used to show.
-        counter_f_enum.close()
-        if counter_t_enum is not None:
-            counter_t_enum.close()
-        if verifier is not None:
-            verifier.close()
 
         with timings.track("validation"), tracer.span(
             "cegis.minimize", phase="minimize", counters=True

@@ -20,16 +20,17 @@ from ..learn import DisjunctivePredicate, Hyperplane
 from ..predicates import Pred, truth_formula
 from ..predicates.normalize import LinearizationContext
 from ..smt import (
-    SAT,
+    UNSAT,
     Formula,
     Not,
+    SolverError,
+    certified_solver,
     conj,
     disj,
     is_satisfiable,
-    lease_session,
     negate,
 )
-from ..smt.session import certified_solver
+from ..smt.theory import SolverBudgetError
 
 
 def plane_truth_formula(plane: Hyperplane, ctx: LinearizationContext) -> Formula:
@@ -71,19 +72,34 @@ def verify_implied(
     verdict that fails certification is treated as unproven, exactly
     like a resource-exhausted one.
     """
-    from ..smt import SolverError
-    from ..smt.theory import SolverBudgetError
+    return _implied(
+        truth_formula(original, ctx),
+        learned,
+        ctx,
+        bnb_budget=bnb_budget,
+        certify=certify,
+        float_filter=float_filter,
+    )
 
-    t_p = truth_formula(original, ctx)
-    t_p1 = learned_truth_formula(learned, ctx)
-    obligation = conj([t_p, negate(t_p1)])
+
+def _implied(
+    t_p: Formula,
+    learned: DisjunctivePredicate,
+    ctx: LinearizationContext,
+    *,
+    bnb_budget: int,
+    certify: bool,
+    float_filter: str | None,
+) -> bool:
+    """``T(p) AND NOT T(p1)`` is UNSAT, on a fresh solver (see
+    :func:`verify_implied`)."""
+    obligation = conj([t_p, negate(learned_truth_formula(learned, ctx))])
     try:
         if not certify:
             return not is_satisfiable(
                 obligation, bnb_budget=bnb_budget, float_filter=float_filter
             )
         from ..analysis.certify import audit_proof
-        from ..smt import UNSAT
 
         solver = certified_solver(
             [obligation], bnb_budget=bnb_budget, float_filter=float_filter
@@ -96,66 +112,12 @@ def verify_implied(
         return False
 
 
-class WarmUnsatChecker:
-    """Warm UNSAT prover for ``base AND extra`` over a stream of extras.
-
-    The base formula is asserted once into a persistent
-    :class:`~repro.smt.session.SmtSession`; each :meth:`proves_unsat`
-    call pushes the extra formula under an activation literal, checks,
-    and retracts, so learned clauses about the base survive from one
-    query to the next.  Conservative like the one-shot helpers: an
-    unknown verdict (budget or round exhaustion) reports ``False`` --
-    "unsatisfiability not proven" -- never an over-claim.
-
-    The session is a :func:`repro.smt.lease_session` lease: with a
-    session pool installed (the sharded driver's workers), a checker
-    over a recurring base -- the same query's ``T(p)`` across all
-    seven column subsets -- resumes a warm pooled session instead of
-    re-encoding from cold.
-    """
-
-    def __init__(
-        self,
-        base: Formula,
-        *,
-        bnb_budget: int = 4000,
-        float_filter: str | None = None,
-    ) -> None:
-        self._lease = lease_session(
-            (base,), bnb_budget=bnb_budget, float_filter=float_filter
-        )
-        self._session = self._lease.session
-
-    def close(self) -> None:
-        """Release the lease (returns the session to the pool)."""
-        self._lease.release()
-
-    def proves_unsat(
-        self, extra: Formula, *, bnb_budget: int | None = None
-    ) -> bool:
-        from ..smt import SolverError
-        from ..smt.theory import SolverBudgetError
-
-        scope = self._session.push(extra, label="probe")
-        try:
-            return self._session.check(bnb_budget=bnb_budget) != SAT
-        except (SolverError, SolverBudgetError):
-            return False
-        finally:
-            scope.retract()
-
-
 class PredicateVerifier:
-    """Warm ``Verify`` for one (original predicate, context) pair.
+    """``Verify`` for one (original predicate, context) pair.
 
-    Asserting the 3VL truth lift ``T(p)`` once and pushing each
-    candidate's ``NOT T(p1)`` under an activation literal keeps the
-    CDCL core warm across CEGIS iterations -- the candidates share
-    almost all of their atoms with ``p`` and with each other.  The
-    certified path (``certify=True``) bypasses the warm session
-    entirely: certificates must justify every clause, so those checks
-    run on a sealed fresh proof-logging solver via
-    :func:`verify_implied`.
+    The 3VL truth lift ``T(p)`` is computed once; every candidate's
+    obligation ``T(p) AND NOT T(p1)`` then runs on a fresh solver, the
+    same check :func:`verify_implied` makes.
     """
 
     def __init__(
@@ -167,47 +129,29 @@ class PredicateVerifier:
         certify: bool = False,
         float_filter: str | None = None,
     ) -> None:
-        self._original = original
+        self._t_p = truth_formula(original, ctx)
         self._ctx = ctx
         self._bnb_budget = bnb_budget
         self._certify = certify
         self._float_filter = float_filter
-        self._checker: WarmUnsatChecker | None = None
-        if not certify:
-            self._checker = WarmUnsatChecker(
-                truth_formula(original, ctx),
-                bnb_budget=bnb_budget,
-                float_filter=float_filter,
-            )
 
     def verify(self, learned: DisjunctivePredicate) -> bool:
         """True iff the original predicate implies ``learned`` (3VL)."""
         from ..obs.trace import get_tracer
 
         with get_tracer().span(
-            "verify.implication",
-            certified=self._certify,
-            warm=self._checker is not None,
+            "verify.implication", certified=self._certify
         ) as span:
-            if self._checker is None:
-                result = verify_implied(
-                    self._original,
-                    learned,
-                    self._ctx,
-                    bnb_budget=self._bnb_budget,
-                    certify=self._certify,
-                    float_filter=self._float_filter,
-                )
-            else:
-                t_p1 = learned_truth_formula(learned, self._ctx)
-                result = self._checker.proves_unsat(negate(t_p1))
+            result = _implied(
+                self._t_p,
+                learned,
+                self._ctx,
+                bnb_budget=self._bnb_budget,
+                certify=self._certify,
+                float_filter=self._float_filter,
+            )
             span.set(implied=result)
             return result
-
-    def close(self) -> None:
-        """Release the warm checker's session scopes (if any)."""
-        if self._checker is not None:
-            self._checker.close()
 
 
 def _columns_of_var(var, ctx: LinearizationContext):

@@ -140,7 +140,7 @@ def install_file_tracer(
     the null tracer) is restored and the file is closed.
     """
     # Imported here, not at module level: repro.obs must stay importable
-    # below repro.smt (smt.session reads the tracer at check time).
+    # below repro.smt (smt.solver reads the tracer at check time).
     from ..smt.stats import GLOBAL_COUNTERS
 
     sink = open(path, "w", encoding="utf-8")

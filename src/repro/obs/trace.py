@@ -165,7 +165,7 @@ class Tracer:
     ``counters=True`` record the nonzero deltas over their lifetime as
     ``ctr.*`` attributes -- this is how simplex pivots and SAT
     conflicts land on the phase spans without per-pivot tracing cost.
-    ``smt_spans`` opts into one span per ``SmtSession.check`` (high
+    ``smt_spans`` opts into one span per ``Solver.check`` (high
     volume; off by default).
     """
 

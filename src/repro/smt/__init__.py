@@ -11,8 +11,8 @@ substitution table).  Public surface:
 * proofs: :class:`ProofLog` and the certificate types
   (``Solver(proof=True)``; audited by :mod:`repro.analysis.certify`)
 * quantifier elimination: ``eliminate_exists``, ``unsat_region``
-* warm sessions: :class:`SmtSession`, :class:`Scope` (activation-literal
-  incrementality), :data:`GLOBAL_COUNTERS` instrumentation
+* certified checks: ``certified_solver`` (a sealed proof-logging
+  solver); :data:`GLOBAL_COUNTERS` instrumentation
 * two-tier tableau: :class:`TableauBackend`, ``check_tableau`` and the
   float-filter mode constants (``FLOAT_OFF`` / ``FLOAT_FILTER`` /
   ``FLOAT_TRUST_SAT``); the float tier itself is
@@ -64,16 +64,6 @@ from .proof import (
     TrichotomyCert,
 )
 from .qe import EliminationResult, eliminate_exists, unsat_region
-from .session import (
-    Scope,
-    SessionLease,
-    SessionPool,
-    SmtSession,
-    install_session_pool,
-    lease_session,
-    session_pool,
-    uninstall_session_pool,
-)
 from .simplex import DeltaRational, Simplex, TheoryConflict
 from .solver import (
     SAT,
@@ -82,6 +72,7 @@ from .solver import (
     Solver,
     SolverError,
     all_models,
+    certified_solver,
     get_model,
     implies,
     is_satisfiable,
@@ -120,15 +111,7 @@ __all__ = [
     "ProofLog",
     "REAL",
     "SAT",
-    "Scope",
     "Simplex",
-    "SessionLease",
-    "SessionPool",
-    "SmtSession",
-    "install_session_pool",
-    "lease_session",
-    "session_pool",
-    "uninstall_session_pool",
     "SplitCert",
     "TableauBackend",
     "TrichotomyCert",
@@ -142,6 +125,7 @@ __all__ = [
     "Var",
     "all_models",
     "bounds",
+    "certified_solver",
     "check_conjunction",
     "check_tableau",
     "compare",

@@ -26,7 +26,7 @@ module makes the tableau pluggable and adds the fast tier in front:
     ``filter``).
 
 Mode selection threads down from :class:`repro.core.config.SiaConfig`
-(``float_filter``) through ``Solver``/``SmtSession``; the
+(``float_filter``) through ``Solver``; the
 ``SIA_FLOAT_FILTER`` environment variable force-overrides every
 construction site (used by CI to run the tier-1 suite with the float
 tier forced on and forced off).

@@ -51,8 +51,8 @@ class CnfBuilder:
         # on interned node identity.  Sound because _encode emits the
         # *full* Tseitin equivalence (def <-> node), so the literal can
         # stand for the node in any later assertion against this
-        # builder.  Turns re-encoding of shared sub-formulas (the warm
-        # session asserts many formulas sharing structure) into a
+        # builder.  Turns re-encoding of shared sub-formulas (an
+        # enumerator asserts many formulas sharing structure) into a
         # dictionary hit.
         self._def_cache: dict[Formula, int] = {}
 
@@ -72,16 +72,6 @@ class CnfBuilder:
 
     def add_clause(self, lits: list[int]) -> None:
         self.result.clauses.append(lits)
-
-    def evict_def(self, node: Formula) -> int | None:
-        """Forget the memoized definition variable of ``node``.
-
-        Called when no live assertion references ``node`` any more, so
-        the SAT core can garbage-collect the definition clauses.  A
-        later re-assertion of the same node re-encodes it with a fresh
-        variable (variable numbering is append-only).
-        """
-        return self._def_cache.pop(node, None)
 
     # ------------------------------------------------------------------
     def assert_formula(self, formula: Formula) -> None:

@@ -97,7 +97,7 @@ class Atom(Formula):
 
     Atoms (like every formula node) are hash-consed: structurally
     equal nodes are the same object, so the CNF encoder's definition
-    cache and the session layer can key on identity.  Intern tables
+    cache and the solver's atom tables can key on identity.  Intern tables
     are weak -- nodes no live formula references are collected.
     """
 
@@ -369,8 +369,8 @@ def to_nnf(formula: Formula, *, split_ne: bool = True) -> Formula:
     theory solver, Fourier-Motzkin) only see ``<=``, ``<`` and ``=``.
 
     Results are memoized on interned node identity, so re-asserting a
-    structurally equal formula (the warm-session pattern) normalizes at
-    dictionary-lookup cost.
+    structurally equal formula (e.g. ``T(p)`` in every Verify
+    obligation) normalizes at dictionary-lookup cost.
     """
     if formula is TRUE or formula is FALSE:
         return formula

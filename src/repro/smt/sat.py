@@ -63,14 +63,6 @@ class SatSolver:
         self.proof: ProofLog | None = None
         self._clause_step: dict[int, int] = {}
         self._last_antecedents: list[int] = []
-        # Variables purged by simplify(dead_vars=...): they occur in no
-        # clause, so the search never needs to assign them (a full
-        # assignment over the remaining variables satisfies the whole
-        # database).  Kept allocated -- variable numbering is append-only.
-        # ``active_vars`` is the branching order (everything not
-        # detached), so _pick_branch never scans the graveyard.
-        self.detached: set[int] = set()
-        self.active_vars: list[int] = []
 
     # ------------------------------------------------------------------
     # Variable / clause management
@@ -82,7 +74,6 @@ class SatSolver:
         self.reason.append(None)
         self.activity.append(0.0)  # sia: allow-float -- VSIDS heuristic
         self.phase.append(False)
-        self.active_vars.append(self.num_vars)
         return self.num_vars
 
     def ensure_vars(self, n: int) -> None:
@@ -130,14 +121,6 @@ class SatSolver:
             self._log_empty()
             self.ok = False
             return False
-        if self.detached:
-            # A new clause citing a previously-detached variable revives
-            # it (a dead atom re-asserted by a later scope): it must be
-            # branched on again.
-            revived = {abs(lit) for lit in out} & self.detached
-            if revived:
-                self.detached -= revived
-                self.active_vars.extend(sorted(revived))
         if len(out) == 1:
             self._enqueue(out[0], None)
             conflict = self._propagate()
@@ -326,7 +309,7 @@ class SatSolver:
         best_act = -1.0  # sia: allow-float -- VSIDS heuristic
         assign = self.assign
         activity = self.activity
-        for var in self.active_vars:
+        for var in range(1, self.num_vars + 1):
             if assign[var] == UNASSIGNED and activity[var] > best_act:
                 best_act = activity[var]
                 best_var = var
@@ -418,68 +401,6 @@ class SatSolver:
                 return True  # full assignment found
             self.trail_lim.append(len(self.trail))
             self._enqueue(branch, None)
-
-    def simplify(self, dead_vars: set[int] | frozenset = frozenset()) -> None:
-        """MiniSat-style root-level database simplification.
-
-        Drops every clause satisfied at decision level 0 and strips
-        falsified literals from the rest.  A retracted activation
-        literal (asserted ``~sel`` at the root) permanently satisfies
-        all of its scope's guard clauses -- and every learned clause
-        that cites ``~sel`` -- so simplifying after a retraction keeps
-        a long-lived session's watchlists and propagation frontier
-        close to a freshly-built solver's.
-
-        ``dead_vars`` are variables no longer referenced by any live
-        assertion: Tseitin definition variables of evicted nodes, and
-        theory-atom variables whose atom is suppressed (referenced only
-        by retracted scopes).  Every clause citing one is deleted and
-        the variable is *detached* from branching.  Sound in both
-        directions: deletion never turns SAT into UNSAT, and the
-        deleted clauses (definition cones, ordering lemmas, blocking
-        clauses over dead atoms) are all consequences of the monotone
-        semantic assertion set -- any model of the live constraints
-        extends to one satisfying them, so UNSAT answers still rest
-        only on live constraints, and SAT answers are re-validated by
-        the theory on live atoms regardless.  ``add_clause`` revives a
-        detached variable the moment a new clause cites it.
-        """
-        if not self.ok or self._decision_level() != 0:
-            return
-        if self._propagate() is not None:
-            self._log_empty()
-            self.ok = False
-            return
-        if dead_vars:
-            self.detached |= dead_vars
-            self.active_vars = [
-                var for var in self.active_vars if var not in self.detached
-            ]
-        clauses: list[list[int]] = []
-        steps: dict[int, int] = {}
-        for ci, clause in enumerate(self.clauses):
-            if dead_vars and any(abs(lit) in dead_vars for lit in clause):
-                continue
-            if any(self.value(lit) == 1 for lit in clause):
-                continue
-            lits = [lit for lit in clause if self.value(lit) != 0]
-            # Propagation ran to fixpoint, so an unsatisfied clause has
-            # at least two unassigned literals left to watch.
-            step = self._clause_step.get(ci)
-            if step is not None:
-                steps[len(clauses)] = step
-            clauses.append(lits)
-        self.clauses = clauses
-        self._clause_step = steps
-        self.watches = {}
-        for ci, clause in enumerate(clauses):
-            self._watch(clause[0], ci)
-            self._watch(clause[1], ci)
-        # Root assignments are permanent facts now; conflict analysis
-        # never resolves on level-0 literals, so their reason indices
-        # (which pointed into the old clause list) can be cleared.
-        for lit in self.trail:
-            self.reason[abs(lit)] = None
 
     def model(self) -> list[bool]:
         """Model after a successful solve: ``model()[v]`` for variable v."""

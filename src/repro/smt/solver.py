@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable
 
+from ..obs.trace import get_tracer
 from .backend import resolve_float_mode
 from .cnf import CnfBuilder
 from .formula import EQ, LE, LT, NE, Atom, BVar, Formula, Not as FNot
@@ -76,6 +77,28 @@ class SolverError(Exception):
     """The lazy loop failed to converge within its round budget."""
 
 
+def _atom_footprint(atom: Atom) -> set[Atom]:
+    """Every leaf atom the solver may register for ``atom``.
+
+    NNF pushes negations onto atoms (producing the *complement* atom
+    objects, e.g. ``~(e <= 0)`` becomes ``-e < 0``), and equality /
+    disequality atoms split into strict pairs (``to_nnf`` with
+    ``split_ne``, or the on-demand trichotomy lemma), so the footprint
+    closes over both polarities and the splits.
+    """
+    expr = atom.expr
+    if atom.op in (EQ, NE):
+        return {Atom(expr, EQ), Atom(expr, NE), Atom(expr, LT), Atom(-expr, LT)}
+    return {atom, atom.negated()}
+
+
+def _formula_footprint(formula: Formula) -> set[Atom]:
+    out: set[Atom] = set()
+    for atom in formula.atoms():
+        out |= _atom_footprint(atom)
+    return out
+
+
 class Solver:
     """Incremental SMT solver for linear integer/real arithmetic.
 
@@ -118,6 +141,9 @@ class Solver:
         self.proof_log: ProofLog | None = ProofLog() if proof else None
         self._sat.proof = self.proof_log
         self._atoms_registered = 0
+        # Atoms that only ever appeared as check assumptions (see
+        # check): no asserted clause constrains them, so theory rounds
+        # outside the check that assumed them skip them.
         self._suppressed: set[Atom] = set()
         # Leaf-iteration cache for _theory_round: rebuilt only when the
         # atom table grows or the suppressed set changes, so a round
@@ -128,102 +154,14 @@ class Solver:
         self._bvar_items: list[tuple[int, BVar]] = []
 
     # ------------------------------------------------------------------
-    @property
-    def bnb_budget(self) -> int:
-        """Branch-and-bound node budget for theory checks.
-
-        Writable so a long-lived session can serve callers with
-        different budgets without rebuilding the solver.
-        """
-        return self._bnb_budget
-
-    @bnb_budget.setter
-    def bnb_budget(self, value: int) -> None:
-        self._bnb_budget = value
-
-    # ------------------------------------------------------------------
-    # Theory-relevance suppression (used by SmtSession)
-    # ------------------------------------------------------------------
-    def suppress_atoms(self, atoms: Iterable[Atom]) -> None:
-        """Exclude ``atoms`` from theory rounds until unsuppressed.
-
-        Sound only when every clause mentioning a suppressed atom is
-        already satisfied by a root-level unit (the activation-literal
-        pattern: a retracted scope's guard clauses are satisfied by the
-        asserted ``~sel``).  The atom's SAT variable then floats freely
-        -- whatever polarity the boolean model picks, the Tseitin cone
-        enforcing it is dead, so the theory solver need not honour it.
-        Skipping only *removes* constraints from theory checks, so an
-        UNSAT verdict still rests exclusively on live atoms.
-
-        Without this, a long-lived session pays for every atom ever
-        registered on every theory round (the round walks the full atom
-        table), which is exactly the cost that made per-check fresh
-        solvers competitive.
-        """
-        atoms = list(atoms)
-        if atoms:
-            self._suppressed.update(atoms)
-            self._suppress_version += 1
-
-    def unsuppress_atoms(self, atoms: Iterable[Atom]) -> None:
-        """Re-admit ``atoms`` to theory rounds (new scope re-uses them)."""
-        atoms = list(atoms)
-        if atoms:
-            self._suppressed.difference_update(atoms)
-            self._suppress_version += 1
-
-    def compact(
-        self,
-        dead_nodes: Iterable[Formula] = (),
-        dead_atoms: Iterable[Atom] = (),
-    ) -> None:
-        """Drop clauses satisfied at the root (retraction cleanup).
-
-        Asserting a retracted scope's negated selector satisfies all of
-        its guard clauses forever; this removes them (and any learned
-        clauses citing the selector) from the SAT core so later checks
-        do not propagate through dead structure.  ``dead_nodes`` are
-        NNF connective nodes no longer reachable from any live
-        assertion (the session refcounts them alongside atoms): their
-        Tseitin definition cones are deleted outright and the
-        definition variables detached from branching.  ``dead_atoms``
-        are suppressed atoms referenced by no live assertion; the
-        ordering lemmas, guard encodings and blocking clauses citing
-        them are deleted the same way (they are consequences of the
-        monotone assertion set -- see ``SatSolver.simplify``), their
-        bound-chain entries are pruned, and a dead equality forgets its
-        trichotomy split so a later revival re-splits.  Without this, a
-        long counter-example session pays per-check for every
-        ``NotOld`` point and candidate atom it ever retracted.
-        """
-        dead_vars: set[int] = set()
-        for node in dead_nodes:
-            var = self._builder.evict_def(node)
-            if var is not None:
-                dead_vars.add(var)
-        var_of_atom = self._builder.result.var_of_atom
-        for atom in dead_atoms:
-            var = var_of_atom.get(atom)
-            if var is not None:
-                dead_vars.add(var)
-            self._eq_split.discard(atom)
-        if dead_vars:
-            for chains in self._chains.values():
-                for side in ("upper", "lower"):
-                    chains[side] = [
-                        entry for entry in chains[side]
-                        if entry[4] not in dead_vars
-                    ]
-                chains["eq"] = [
-                    entry for entry in chains["eq"] if entry[1] not in dead_vars
-                ]
-        self._sat.finish()
-        self._sat.simplify(dead_vars)
-
-    # ------------------------------------------------------------------
     def add(self, *formulas: Formula) -> None:
         for formula in formulas:
+            if self._suppressed:
+                # An asserted formula constrains its atoms from now on.
+                footprint = _formula_footprint(formula)
+                if not self._suppressed.isdisjoint(footprint):
+                    self._suppressed -= footprint
+                    self._suppress_version += 1
             self._builder.assert_formula(formula)
         self._sync_clauses()
 
@@ -273,7 +211,27 @@ class Solver:
         during an assuming check remain globally sound (theory
         conflicts do not depend on why their literals were asserted),
         so the solver stays warm across differently-assumed calls.
+
+        An atom no asserted formula mentions is constrained only while
+        a check assumes it.  Afterwards its SAT variable floats freely
+        (only the bound lemmas cite it, and those are valid), so later
+        theory rounds skip it instead of checking whatever polarity
+        the boolean model happens to give it.
+
+        With :attr:`~repro.obs.trace.Tracer.smt_spans` on, every call
+        is one ``smt.check`` span.
         """
+        tracer = get_tracer()
+        if not tracer.smt_spans:
+            return self._check(assumptions)
+        with tracer.span(
+            "smt.check", counters=True, assumptions=len(assumptions or [])
+        ) as span:
+            verdict = self._check(assumptions)
+            span.set(verdict=verdict)
+            return verdict
+
+    def _check(self, assumptions: list[Formula] | None) -> str:
         GLOBAL_COUNTERS.checks += 1
         self._model = None
         self._budget_events = 0
@@ -285,19 +243,42 @@ class Solver:
                     self.proof_log.log_clause([], kind="input")
                 self.proof_log.result = UNSAT
             return UNSAT
-        assumption_lits = (
-            [self._literal(formula) for formula in assumptions]
-            if assumptions
-            else []
-        )
-        if assumptions:
-            # An assumed literal is forced for this check, so its atom
-            # must reach the theory solver even if a retracted scope
-            # previously suppressed it.
-            for formula in assumptions:
-                leaf = formula.arg if isinstance(formula, FNot) else formula
-                if isinstance(leaf, Atom):
-                    self._suppressed.discard(leaf)
+        transient = self._assumption_only_atoms(assumptions or [])
+        if transient:
+            self._suppressed -= transient
+            self._suppress_version += 1
+        try:
+            assumption_lits = [
+                self._literal(formula) for formula in assumptions or []
+            ]
+            return self._search(assumption_lits)
+        finally:
+            if transient:
+                self._suppressed |= transient
+                self._suppress_version += 1
+
+    def _assumption_only_atoms(self, assumptions: list[Formula]) -> set[Atom]:
+        """Footprint of the assumed atoms that no asserted formula has.
+
+        Every registered atom outside ``_suppressed`` belongs to an
+        asserted formula, so it stays live; the rest are registered
+        (or about to be) by this check alone.
+        """
+        var_of_atom = self._builder.result.var_of_atom
+        out: set[Atom] = set()
+        for formula in assumptions:
+            leaf = formula.arg if isinstance(formula, FNot) else formula
+            if not isinstance(leaf, Atom):
+                continue
+            for atom in _atom_footprint(leaf):
+                if atom in self._suppressed or (
+                    atom not in var_of_atom
+                    and atom.negated() not in var_of_atom
+                ):
+                    out.add(atom)
+        return out
+
+    def _search(self, assumption_lits: list[int]) -> str:
         self._add_bound_lemmas()
         self._register_atoms()
         for _ in range(self._max_rounds):
@@ -670,6 +651,27 @@ class Solver:
 # ----------------------------------------------------------------------
 # Convenience helpers used across the code base
 # ----------------------------------------------------------------------
+def certified_solver(
+    formulas: Iterable[Formula],
+    *,
+    bnb_budget: int = 4000,
+    float_filter: str | None = None,
+) -> Solver:
+    """Sealed fresh proof-logging solver over ``formulas``, checked.
+
+    The canonical entry point for certified verdicts: callers read the
+    verdict from ``proof_log.result`` and hand the log to the auditor
+    (:mod:`repro.analysis.certify`).  The float tier composes with
+    proof logging: its verdicts are advisory and every certificate is
+    re-derived exactly, so a certified check may still run the filter.
+    """
+    GLOBAL_COUNTERS.proof_fallbacks += 1
+    solver = Solver(bnb_budget=bnb_budget, proof=True, float_filter=float_filter)
+    solver.add(*formulas)
+    solver.check()
+    return solver
+
+
 def is_satisfiable(
     *formulas: Formula,
     bnb_budget: int = 4000,

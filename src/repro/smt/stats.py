@@ -1,9 +1,7 @@
 """Process-wide solver instrumentation counters.
 
-The warm-session work (docs/INTERNALS.md, "Incremental sessions")
-is justified by *measured* reductions in solver construction and
-re-encoding work, so the substrate keeps cheap monotone counters that
-the micro-benchmarks (``benchmarks/bench_smt_micro.py``) and the
+The substrate keeps cheap monotone counters that the micro-benchmarks
+(``benchmarks/bench_smt_micro.py``), the end-to-end benchmark and the
 parallel workload driver snapshot around their workloads:
 
 * ``solvers_constructed`` -- ``Solver`` instances built (each one
@@ -12,18 +10,8 @@ parallel workload driver snapshot around their workloads:
 * ``clauses_learned`` -- CDCL conflict clauses learned,
 * ``restarts`` -- CDCL Luby restarts,
 * ``pivots`` -- simplex pivot operations,
-* ``sessions_created`` / ``session_checks`` -- :class:`SmtSession`
-  instances and the checks they served (``session_checks /
-  sessions_created`` is the session-reuse factor),
-* ``sessions_reused`` -- session-pool hits
-  (:class:`~repro.smt.session.SessionPool`): a lease request served by
-  a warm pooled session instead of constructing a fresh one, so
-  ``sessions_reused / (sessions_created + sessions_reused)`` is the
-  pool hit rate,
-* ``scopes_opened`` / ``scopes_retracted`` -- activation-literal
-  scopes pushed and retired,
-* ``proof_fallbacks`` -- checks that had to leave the warm session
-  for a sealed proof-logging solver (certified paths),
+* ``proof_fallbacks`` -- certified checks, each on a sealed
+  proof-logging solver (:func:`~repro.smt.solver.certified_solver`),
 * ``float_checks`` / ``float_pivots`` -- two-tier backend
   (:mod:`repro.smt.backend`): LRA checks that entered the float tier,
   and pivots spent there (``pivots`` stays the *exact*-tier pivot
@@ -41,18 +29,9 @@ parallel workload driver snapshot around their workloads:
   conservative SAT path).
 
 **Counting semantics** (pinned by ``tests/smt/test_counter_semantics.py``):
-``checks`` counts *every* top-level ``Solver.check`` call, wherever it
-came from -- warm session checks and certified fallbacks included.
-``session_checks`` counts the subset of ``checks`` served by a warm
-:class:`SmtSession` (so a warm check increments **both**, by design:
-``checks - session_checks`` is the cold-check count, and
-``session_checks / checks`` is the warm share).  A certified fallback
-(:func:`~repro.smt.session.certified_solver`, whether reached through
-``SmtSession.certified_check`` or directly) runs on a sealed fresh
-solver: it increments ``solvers_constructed``, ``checks`` and
-``proof_fallbacks``, and must **never** increment ``session_checks``
--- it was not served warm, and counting it there would overstate the
-session-reuse factor the warm-CEGIS benchmarks report.
+``checks`` counts *every* top-level ``Solver.check`` call, certified
+ones included.  A certified check increments ``solvers_constructed``,
+``checks`` and ``proof_fallbacks`` once each.
 
 Counters are per process; the parallel driver aggregates the deltas
 its workers report.  This module sits below every other smt module so
@@ -77,11 +56,8 @@ class SolverCounters:
     clauses_learned: int = 0
     restarts: int = 0
     pivots: int = 0
-    sessions_created: int = 0
+    # Always 0 (solvers are never pooled); read by perfbench/run.py.
     sessions_reused: int = 0
-    session_checks: int = 0
-    scopes_opened: int = 0
-    scopes_retracted: int = 0
     proof_fallbacks: int = 0
     float_checks: int = 0
     float_pivots: int = 0

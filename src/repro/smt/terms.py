@@ -42,7 +42,7 @@ class Var:
     identity and downstream identity-keyed caches (memoized CNF
     encoding, linearization) are sound.  The intern table holds weak
     references only -- variables no live formula mentions are
-    collected, so one long process serving many sessions does not
+    collected, so one long process serving many queries does not
     accumulate dead queries' vocabularies.
     """
 

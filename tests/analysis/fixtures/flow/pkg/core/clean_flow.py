@@ -6,14 +6,14 @@ import random
 from ..smt.engine import assert_bound
 
 
-def retract_on_all_paths(session, flag):
-    scope = session.push(flag)
+def close_on_all_paths(path, flag):
+    handle = open(path)
     try:
         if flag:
             return 1
         return 0
     finally:
-        scope.retract()
+        handle.close()
 
 
 def with_block(path):

@@ -1,8 +1,8 @@
 """Deliberate leak sanctioned with a pragma (flow honors # sia:)."""
 
 
-def keep_scope(session, formula):
-    # sia: allow(SIA403) -- process-lifetime scope: the session owns
-    # it and retracts everything at interpreter exit.
-    scope = session.push(formula)
+def keep_handle(path):
+    # sia: allow(SIA403) -- process-lifetime handle: closed at
+    # interpreter exit.
+    handle = open(path)
     return None

@@ -1,11 +1,11 @@
 """Resources leaked on some normal or exceptional path."""
 
 
-def leak_scope(session, flag):
-    scope = session.push(flag)
+def leak_on_early_return(path, flag):
+    handle = open(path)
     if flag:
         return 1
-    scope.retract()
+    handle.close()
     return 0
 
 

@@ -70,7 +70,7 @@ def test_method_calls_do_not_resolve(project):
         for node in ast.walk(leaks.tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "push"
+        and node.func.attr == "close"
     )
     assert project.resolve_call(call.func, leaks) is None
 

@@ -1,4 +1,4 @@
-"""SIA403: must-close / must-retract along normal and exceptional paths."""
+"""SIA403: must-close along normal and exceptional paths."""
 
 from pathlib import Path
 
@@ -16,30 +16,30 @@ def _analyze(src: str):
     return analyze_lifecycle(project)
 
 
-def test_scope_leaks_on_early_return():
+def test_handle_leaks_on_early_return():
     findings = _analyze(
-        "def f(session, flag):\n"
-        "    scope = session.push(flag)\n"
+        "def f(path, flag):\n"
+        "    handle = open(path)\n"
         "    if flag:\n"
         "        return 1\n"
-        "    scope.retract()\n"
+        "    handle.close()\n"
         "    return 0\n"
     )
     assert [f.rule for f in findings] == ["SIA403"]
     assert findings[0].line == 2
-    assert "push" in findings[0].message
+    assert "open()" in findings[0].message
 
 
-def test_try_finally_retract_is_clean():
+def test_try_finally_close_is_clean():
     findings = _analyze(
-        "def f(session, flag):\n"
-        "    scope = session.push(flag)\n"
+        "def f(path, flag):\n"
+        "    handle = open(path)\n"
         "    try:\n"
         "        if flag:\n"
         "            return 1\n"
         "        return 0\n"
         "    finally:\n"
-        "        scope.retract()\n"
+        "        handle.close()\n"
     )
     assert findings == []
 
@@ -92,8 +92,8 @@ def test_escape_via_call_argument_stops_tracking():
 def test_escape_via_attribute_store_stops_tracking():
     findings = _analyze(
         "class Holder:\n"
-        "    def grab(self, session, flag):\n"
-        "        self.scope = session.push(flag)\n"
+        "    def grab(self, path):\n"
+        "        self.handle = open(path)\n"
         "        return None\n"
     )
     assert findings == []
@@ -101,16 +101,16 @@ def test_escape_via_attribute_store_stops_tracking():
 
 def test_returned_resource_is_callers_problem():
     findings = _analyze(
-        "def f(session, flag):\n"
-        "    return session.push(flag)\n"
+        "def f(path):\n"
+        "    return open(path)\n"
     )
     assert findings == []
 
 
 def test_discarded_acquisition_is_flagged():
     findings = _analyze(
-        "def f(session, flag):\n"
-        "    session.push(flag)\n"
+        "def f(path):\n"
+        "    open(path)\n"
         "    return None\n"
     )
     assert [f.rule for f in findings] == ["SIA403"]
@@ -118,9 +118,9 @@ def test_discarded_acquisition_is_flagged():
 
 def test_release_raising_is_not_a_leak():
     findings = _analyze(
-        "def f(session, flag):\n"
-        "    scope = session.push(flag)\n"
-        "    scope.retract()\n"
+        "def f(path):\n"
+        "    handle = open(path)\n"
+        "    handle.close()\n"
         "    return None\n"
     )
     assert findings == []

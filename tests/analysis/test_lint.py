@@ -19,7 +19,6 @@ PLANTED = [
     ("smt/sia006_frozen_mutation.py", "SIA006", 5),
     ("smt/sia007_missing_slots.py", "SIA007", 8),
     ("smt/sia008_model_unchecked.py", "SIA008", 6),
-    ("core/sia009_direct_solver.py", "SIA009", 5),
     ("core/sia010_direct_time.py", "SIA010", 6),
     ("core/sia010_aliased_import.py", "SIA010", 7),
     ("core/sia010_datetime_now.py", "SIA010", 7),
@@ -182,30 +181,6 @@ def test_float_cast_flagged_in_boundary_zone(tmp_path):
     path.write_text("def f(x):\n    return float(x)\n")
     findings = lint_file(path)
     assert [f.rule for f in findings] == ["SIA002"]
-
-
-def test_sia009_only_fires_in_core_zone(tmp_path):
-    source = "def f(x):\n    s = Solver()\n    s.add(x)\n    return s.check()\n"
-    core = tmp_path / "core" / "probe.py"
-    core.parent.mkdir()
-    core.write_text(source)
-    assert [f.rule for f in lint_file(core)] == ["SIA009"]
-    smt = tmp_path / "smt" / "probe.py"
-    smt.parent.mkdir()
-    smt.write_text(source)
-    assert lint_file(smt) == []
-
-
-def test_sia009_pragma_escape(tmp_path):
-    path = tmp_path / "core" / "probe.py"
-    path.parent.mkdir()
-    path.write_text(
-        "def f(x):\n"
-        "    s = Solver()  # sia: allow(SIA009)\n"
-        "    s.add(x)\n"
-        "    return s.check()\n"
-    )
-    assert lint_file(path) == []
 
 
 def test_sanctioned_constructor_mutation_not_flagged(tmp_path):

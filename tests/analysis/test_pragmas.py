@@ -56,11 +56,11 @@ def test_pragma_block_reaches_past_decorators_to_the_def():
 
 def test_indented_comment_block_extends():
     pragmas = extract_pragmas(
-        "def f(session):\n"
-        "    # sia: allow(SIA403) -- process-lifetime scope, never\n"
-        "    # retracted by design.\n"
-        "    scope = session.push(None)\n"
-        "    return scope\n"
+        "def f(path):\n"
+        "    # sia: allow(SIA403) -- process-lifetime handle, never\n"
+        "    # closed by design.\n"
+        "    handle = open(path)\n"
+        "    return handle\n"
     )
     assert is_suppressed(pragmas, 4, "SIA403")
     assert not is_suppressed(pragmas, 5, "SIA403")

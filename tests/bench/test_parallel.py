@@ -117,15 +117,6 @@ def test_pool_stats_shape(sequential):
     assert {"p50", "p95", "max"} <= set(pool["queue_wait_ms"])
 
 
-def test_session_pool_is_active_in_driver(sequential):
-    """The inline path installs the same worker-lifetime session pool
-    as sharded workers; its reuse shows up in the aggregated counters
-    whenever sessions are created at all (TC itself is solver-free)."""
-    created = sequential.counters.get("sessions_created", 0)
-    reused = sequential.counters.get("sessions_reused", 0)
-    assert created >= 0 and reused >= 0  # counters ship either way
-
-
 def test_killed_worker_requeues_query_exactly_once(sequential, monkeypatch):
     """A worker dying mid-cell must not lose or duplicate the query:
     the attempt ledger requeues it once, a fresh worker reruns it, and

@@ -4,7 +4,18 @@ import random
 
 from repro.core import SIA_DEFAULT, Sampler, SiaConfig, enumerate_all, not_old_formula
 from repro.core.samples import IncrementalEnumerator, box_formula
-from repro.smt import LinExpr, Var, compare, conj, is_satisfiable
+from repro.smt import (
+    EQ,
+    LT,
+    NE,
+    Atom,
+    LinExpr,
+    Var,
+    compare,
+    conj,
+    disj,
+    is_satisfiable,
+)
 
 X = Var("x")
 Y = Var("y")
@@ -128,3 +139,135 @@ def test_incremental_enumerator_add():
         values.add(int(point[X]))
     assert values <= {9, 10}
     assert 9 in values or 10 in values
+
+
+def test_blocked_points_never_recur():
+    base = conj(
+        [
+            compare(ex, ">=", c(0)),
+            compare(ex, "<=", c(3)),
+            compare(ey, ">=", c(0)),
+            compare(ey, "<=", c(2)),
+        ]
+    )
+    known = [{X: 0, Y: 0}, {X: 3, Y: 2}]
+    enum = IncrementalEnumerator(base, [X, Y], known, SIA_DEFAULT, with_box=True)
+    seen = list(known)
+    while True:
+        point = enum.next(seen)
+        if point is None:
+            break
+        seen.append(point)
+    keys = [(int(p[X]), int(p[Y])) for p in seen]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {(x, y) for x in range(4) for y in range(3)}
+
+
+def test_unboxed_check_finds_point_outside_exhausted_box():
+    config = SiaConfig(sample_box=5)
+    enum = IncrementalEnumerator(
+        compare(ex, ">=", c(3)), [X], [], config, with_box=True
+    )
+    seen = []
+    while True:
+        point = enum.next(seen)
+        if point is None:
+            break
+        seen.append(point)
+    assert sorted(int(p[X]) for p in seen) == [3, 4, 5]
+    outside = enum.next(seen, boxed=False)
+    assert outside is not None and outside[X] > 5
+    # The box still binds the next boxed check.
+    assert enum.next(seen + [outside]) is None
+
+
+def test_enumerate_all_matches_brute_force():
+    base = conj(
+        [
+            compare(ex, ">=", c(-2)),
+            compare(ex, "<=", c(2)),
+            compare(ey, ">=", c(-2)),
+            compare(ey, "<=", c(2)),
+            compare(ex + ey, "!=", c(0)),
+            disj([compare(ex, "<", c(0)), compare(ey, ">", c(1))]),
+        ]
+    )
+    result = enumerate_all(base, [X, Y], 100)
+    assert result.exhausted
+    found = {(int(p[X]), int(p[Y])) for p in result.points}
+    assert len(found) == len(result.points)
+    expected = {
+        (x, y)
+        for x in range(-2, 3)
+        for y in range(-2, 3)
+        if x + y != 0 and (x < 0 or y > 1)
+    }
+    assert found == expected
+
+
+def _footprint(atoms):
+    out = set()
+    for atom in atoms:
+        out |= {atom, atom.negated()}
+        if atom.op in (EQ, NE):
+            expr = atom.expr
+            for split in (Atom(expr, LT), Atom(-expr, LT)):
+                out |= {split, split.negated()}
+            out |= {Atom(expr, EQ), Atom(expr, NE)}
+    return out
+
+
+def test_assumption_atoms_leave_later_theory_rounds(monkeypatch):
+    """After a random-region check, later theory rounds of the same
+    solver see only atoms of asserted formulas (plus the atoms the
+    running check itself assumes)."""
+    import repro.smt.solver as solver_mod
+
+    asserted: dict[int, set] = {}
+    assumed: dict[int, set] = {}
+    rounds: list[tuple[int, set, set, set]] = []
+    current: list = []
+    original_add = solver_mod.Solver.add
+    original_check = solver_mod.Solver.check
+    original_conjunction = solver_mod.check_conjunction
+
+    def add(self, *formulas):
+        footprint = asserted.setdefault(id(self), set())
+        for formula in formulas:
+            footprint |= _footprint(formula.atoms())
+        return original_add(self, *formulas)
+
+    def check(self, assumptions=None):
+        leaves = _footprint(
+            lit for lit in assumptions or [] if isinstance(lit, Atom)
+        )
+        earlier = set(assumed.setdefault(id(self), set()))
+        assumed[id(self)] |= leaves
+        current.append((id(self), leaves, earlier))
+        try:
+            return original_check(self, assumptions)
+        finally:
+            current.pop()
+
+    def conjunction(constraints, **kwargs):
+        solver_id, this_check, earlier = current[-1]
+        atoms = {atom for atom, _ in constraints}
+        rounds.append((solver_id, atoms, this_check, earlier))
+        return original_conjunction(constraints, **kwargs)
+
+    monkeypatch.setattr(solver_mod.Solver, "add", add)
+    monkeypatch.setattr(solver_mod.Solver, "check", check)
+    monkeypatch.setattr(solver_mod, "check_conjunction", conjunction)
+
+    base = conj([compare(ex + ey, "<", c(40)), compare(ex, ">", ey)])
+    make_sampler(seed=5).sample(base, [X, Y], 6, random_attempts=2)
+
+    exercised = 0
+    for solver_id, atoms, this_check, earlier in rounds:
+        allowed = asserted[solver_id] | this_check
+        assert atoms <= allowed, atoms - allowed
+        if earlier - allowed:
+            exercised += 1
+    # Not vacuous: later rounds ran while atoms that earlier checks had
+    # only assumed existed in the solver and had to be kept out.
+    assert exercised

@@ -1,7 +1,13 @@
 """Tests for Verify under three-valued logic (section 5.2/5.5)."""
 
+import pytest
+
 from repro.core import verify_implied
-from repro.core.verify import learned_truth_formula, plane_truth_formula
+from repro.core.verify import (
+    PredicateVerifier,
+    learned_truth_formula,
+    plane_truth_formula,
+)
 from repro.learn import DisjunctivePredicate, Hyperplane
 from repro.predicates import (
     Col,
@@ -124,3 +130,44 @@ def test_learned_truth_formula_is_disjunction_of_plane_truths():
     assert not is_satisfiable(
         conj([truth, ctx.null_flag(A), ctx.null_flag(B)])
     )
+
+
+def _gt(column, value):
+    return Comparison(Col(column), ">", Lit.integer(value))
+
+
+def _planes(*planes):
+    """Learned-predicate builder: each plane is ((column, coeff)...), const."""
+
+    def build(ctx):
+        return DisjunctivePredicate(
+            tuple(
+                Hyperplane(tuple((ctx.var(col), k) for col, k in terms), const)
+                for terms, const in planes
+            )
+        )
+
+    return build
+
+
+#: (original, learned builder, expected verdict): the cases above.
+AGREEMENT_CASES = [
+    (pand([_gt(A, 5), _gt(B, 0)]), _planes((((A, 1),), 0)), True),
+    (_gt(A, 5), _planes((((A, 1),), -10)), False),
+    (_gt(A, 5), _planes((((A, 1),), -5)), True),
+    (_gt(A, 5), _planes((((A, 1),), -10), (((A, 1),), 0)), True),
+    (por([_gt(A, 5), _gt(B, 0)]), _planes((((A, 1),), 10**9)), False),
+    (pand([_gt(A, 5), _gt(B, 0)]), _planes((((A, 1), (B, 1)), 0)), True),
+]
+
+
+@pytest.mark.parametrize("certify", [False, True])
+@pytest.mark.parametrize("pred,build,expected", AGREEMENT_CASES)
+def test_predicate_verifier_agrees_with_verify_implied(
+    pred, build, expected, certify
+):
+    ctx = ctx_for(pred)
+    learned = build(ctx)
+    verifier = PredicateVerifier(pred, ctx, certify=certify)
+    assert verifier.verify(learned) is expected
+    assert verify_implied(pred, learned, ctx, certify=certify) is expected

@@ -1,18 +1,11 @@
 """Pin the counting semantics documented in ``repro.smt.stats``.
 
-The warm-CEGIS benchmarks report ``session_checks / checks`` as the
-warm share, so the relationship between the three check-ish counters
-must not drift:
-
-* a warm :meth:`SmtSession.check` increments both ``checks`` and
-  ``session_checks`` (the latter is a *subset* of the former);
-* a certified fallback (``certified_check`` / ``certified_solver``)
-  increments ``solvers_constructed``, ``checks`` and
-  ``proof_fallbacks`` but never ``session_checks``.
+* every ``Solver.check`` increments ``checks`` once;
+* a certified check (``certified_solver``) increments
+  ``solvers_constructed``, ``checks`` and ``proof_fallbacks`` once each.
 """
 
-from repro.smt import LE, SAT, UNSAT, Atom, LinExpr, SmtSession, Var, conj
-from repro.smt.session import certified_solver
+from repro.smt import LE, SAT, Atom, LinExpr, Solver, Var, certified_solver, conj
 from repro.smt.stats import GLOBAL_COUNTERS
 
 X = Var("x")
@@ -28,18 +21,7 @@ def _box(low: int, high: int):
     )
 
 
-def test_warm_check_increments_both_checks_and_session_checks():
-    session = SmtSession()
-    session.assert_base(_box(0, 10))
-    before = GLOBAL_COUNTERS.snapshot()
-    assert session.check() == SAT
-    delta = GLOBAL_COUNTERS.delta_since(before)
-    assert delta["checks"] == 1
-    assert delta["session_checks"] == 1
-    assert delta["proof_fallbacks"] == 0
-
-
-def test_certified_fallback_never_counts_as_session_check():
+def test_certified_solver_counts_one_proof_fallback():
     before = GLOBAL_COUNTERS.snapshot()
     solver = certified_solver([_box(0, 10)])
     delta = GLOBAL_COUNTERS.delta_since(before)
@@ -47,33 +29,16 @@ def test_certified_fallback_never_counts_as_session_check():
     assert delta["solvers_constructed"] == 1
     assert delta["checks"] == 1
     assert delta["proof_fallbacks"] == 1
-    assert delta["session_checks"] == 0
 
 
-def test_certified_check_on_a_session_bypasses_the_warm_path():
-    session = SmtSession()
-    session.assert_base(_box(0, 10))
-    session.check()  # warm the session so the fallback delta is isolated
+def test_every_check_counts_once():
+    solver = Solver()
+    solver.add(_box(0, 10))
     before = GLOBAL_COUNTERS.snapshot()
-    solver = session.certified_check([_box(0, 10), _box(20, 30)])
+    assert solver.check() == SAT
+    assert solver.check([Atom(LinExpr.var(X) - 3, LE)]) == SAT
     delta = GLOBAL_COUNTERS.delta_since(before)
-    assert solver.proof_log.result == UNSAT
-    assert delta["session_checks"] == 0
-    assert delta["proof_fallbacks"] == 1
-    assert delta["checks"] >= 1
-
-
-def test_warm_share_is_well_defined():
-    """Over any window, session_checks never outruns checks, and a
-    purely session+certified workload splits checks exactly."""
-    before = GLOBAL_COUNTERS.snapshot()
-    session = SmtSession()
-    session.assert_base(_box(0, 5))
-    session.check()
-    scope = session.push(_box(7, 9), label="probe")
-    session.check()
-    scope.retract()
-    certified_solver([_box(0, 1)])
-    delta = GLOBAL_COUNTERS.delta_since(before)
-    assert 0 <= delta["session_checks"] <= delta["checks"]
-    assert delta["checks"] == delta["session_checks"] + delta["proof_fallbacks"]
+    assert delta["checks"] == 2
+    assert delta["solvers_constructed"] == 0
+    assert delta["proof_fallbacks"] == 0
+    assert delta["sessions_reused"] == 0

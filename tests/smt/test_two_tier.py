@@ -10,6 +10,7 @@ the filter on.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -21,12 +22,15 @@ from repro.smt import (
     SAT,
     UNSAT,
     Atom,
+    BVar,
     LinExpr,
+    Not,
     REAL,
     Solver,
     TheoryConflict,
     Var,
     conj,
+    disj,
     is_satisfiable,
 )
 from repro.smt.backend import (
@@ -39,7 +43,6 @@ from repro.smt.backend import (
 )
 from repro.smt import backend as backend_mod
 from repro.smt.floatsimplex import FloatConflict, FloatSimplex
-from repro.smt.session import SmtSession
 from repro.smt.stats import GLOBAL_COUNTERS
 from repro.smt.theory import check_conjunction
 
@@ -244,7 +247,7 @@ def test_differential_fuzz_conjunction_verdicts_tier_independent():
 
 def test_differential_full_solver_verdicts_and_certificates():
     from repro.analysis.certify import audit_proof
-    from repro.smt.session import certified_solver
+    from repro.smt import certified_solver
     from tests.smt.test_solver_bruteforce import random_formula
 
     rng = random.Random(7)
@@ -286,24 +289,31 @@ def test_env_override_forces_mode(monkeypatch):
     assert GLOBAL_COUNTERS.float_checks > before
 
 
-def test_session_threads_float_filter():
+def test_enumerator_threads_float_filter():
+    from repro.core import SIA_DEFAULT
+    from repro.core.samples import IncrementalEnumerator
+
+    config = replace(SIA_DEFAULT, float_filter=FLOAT_TRUST_SAT)
     before = GLOBAL_COUNTERS.float_checks
-    session = SmtSession(float_filter=FLOAT_TRUST_SAT)
-    session.assert_base(conj([Atom(1 - ex, LE), Atom(ex - 4, LE)]))
-    assert session.check() == SAT
+    enumerator = IncrementalEnumerator(
+        conj([Atom(1 - ex, LE), Atom(ex - 4, LE)]),
+        [X],
+        [],
+        config,
+        with_box=True,
+    )
+    point = enumerator.next([])
     assert GLOBAL_COUNTERS.float_checks > before
-    model = session.model()
-    assert Fraction(1) <= model.value(X) <= Fraction(4)
+    assert point is not None and Fraction(1) <= point[X] <= Fraction(4)
 
 
-def test_scope_semantics_survive_the_filter():
-    # Push/retract across modes: verdicts must match the exact-only
-    # session check for check.
+def test_box_guard_semantics_survive_the_filter():
+    # Guarded and unguarded checks across modes: verdicts must match
+    # the exact-only solver check for check.
+    guard = BVar("__two_tier_box__")
     for mode in FLOAT_MODES:
-        session = SmtSession(float_filter=mode)
-        session.assert_base(Atom(1 - ex, LE))  # x >= 1
-        scope = session.push(Atom(ex - 0, LE), label="contradiction")
-        assert session.check() == UNSAT
-        scope.retract()
-        assert session.check() == SAT
-        session.close()
+        solver = Solver(float_filter=mode)
+        solver.add(Atom(1 - ex, LE))  # x >= 1
+        solver.add(disj([Not(guard), Atom(ex - 0, LE)]))  # guard -> x <= 0
+        assert solver.check([guard]) == UNSAT
+        assert solver.check() == SAT
