@@ -255,20 +255,15 @@ def _cegis_cells(num_queries: int, seed: int):
     return cells
 
 
-def _run_cegis(cells, *, float_filter: str | None = None) -> dict:
-    from dataclasses import replace
-
+def _run_cegis(cells) -> dict:
     from repro.bench.perflog import summarize_times
     from repro.core import SIA_DEFAULT, Synthesizer
 
-    config = SIA_DEFAULT
-    if float_filter is not None:
-        config = replace(config, float_filter=float_filter)
     before = GLOBAL_COUNTERS.snapshot()
     times_ms = []
     for predicate, subset in cells:
         start = now()
-        Synthesizer(config).synthesize(predicate, set(subset))
+        Synthesizer(SIA_DEFAULT).synthesize(predicate, set(subset))
         times_ms.append((now() - start) * 1000.0)
     entry = summarize_times(times_ms)
     entry["counters"] = GLOBAL_COUNTERS.delta_since(before)
@@ -281,44 +276,6 @@ def _run_cegis(cells, *, float_filter: str | None = None) -> dict:
 def cegis_cold(num_queries: int, seed: int) -> dict[str, dict]:
     """Whole CEGIS syntheses over a small workload (``cegis/cold``)."""
     return {"cegis/cold": _run_cegis(_cegis_cells(num_queries, seed))}
-
-
-def cegis_tail(num_queries: int, seed: int) -> dict[str, dict]:
-    """Two-tier float filter vs. exact-only CEGIS over the same cells.
-
-    The float tier targets the latency *tail*: the expensive checks
-    are the ones whose Fraction denominators blow up mid-pivot, and
-    those are exactly the checks a float pass can pre-filter.  So the
-    headline number here is ``p95_speedup``, with ``median_speedup``
-    alongside, plus the per-tier counters (float vs. exact pivots,
-    disagreements, fallbacks) that show how often the advisory verdict
-    held up.
-    """
-    from repro.smt.backend import FLOAT_OFF, FLOAT_TRUST_SAT
-
-    cells = _cegis_cells(num_queries, seed)
-    on = _run_cegis(cells, float_filter=FLOAT_TRUST_SAT)
-    off = _run_cegis(cells, float_filter=FLOAT_OFF)
-    on_counters = on["counters"]
-    comparison = {
-        "queries": len(cells),
-        "median_speedup": round(
-            off["median_ms"] / max(on["median_ms"], 1e-9), 3
-        ),
-        "p95_speedup": round(off["p95_ms"] / max(on["p95_ms"], 1e-9), 3),
-        "float_pivots": on_counters.get("float_pivots", 0),
-        "exact_pivots": on_counters.get("pivots", 0),
-        "float_checks": on_counters.get("float_checks", 0),
-        "float_sat_confirmed": on_counters.get("float_sat_confirmed", 0),
-        "float_unsat_confirmed": on_counters.get("float_unsat_confirmed", 0),
-        "tier_disagreements": on_counters.get("tier_disagreements", 0),
-        "fallbacks": on_counters.get("tier_fallbacks", 0),
-    }
-    return {
-        "cegis/tail_filter_on": on,
-        "cegis/tail_filter_off": off,
-        "cegis/tail": comparison,
-    }
 
 
 def parallel_driver_bench(num_queries: int, seed: int, runs: int) -> dict[str, dict]:
@@ -377,15 +334,6 @@ def main(argv=None) -> int:
         help="micro-benchmarks only (fast smoke mode)",
     )
     parser.add_argument(
-        "--skip-tail", action="store_true",
-        help="skip the two-tier float-filter tail comparison",
-    )
-    parser.add_argument(
-        "--tail-queries", type=int, default=None,
-        help="workload queries for the float-filter tail comparison "
-        "(defaults to --cegis-queries)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL span trace (with per-check smt spans) of "
         "the whole run; replay with 'repro trace PATH'",
@@ -423,18 +371,6 @@ def main(argv=None) -> int:
             print(
                 f"cegis: median {cold['median_ms']} ms, "
                 f"{cold['solver_constructions_per_query']} solvers/query"
-            )
-        if not args.skip_tail:
-            entries.update(
-                cegis_tail(args.tail_queries or args.cegis_queries, args.seed)
-            )
-            tail = entries["cegis/tail"]
-            print(
-                f"cegis tail: p95 speedup {tail['p95_speedup']}x, median "
-                f"{tail['median_speedup']}x ({tail['float_pivots']} float / "
-                f"{tail['exact_pivots']} exact pivots, "
-                f"{tail['tier_disagreements']} disagreements, "
-                f"{tail['fallbacks']} fallbacks)"
             )
         stamp_trace_id(entries, tracer.trace_id if tracer is not None else None)
     if args.trace:

@@ -36,7 +36,7 @@ JSON payloads (the ``fullscale`` checkpoint encoding) plus their
 statistics (steals, requeues, utilization, queue waits) come back in
 ``ParallelRunResult.pool``.
 
-Environment knobs (``SIA_FLOAT_FILTER``, ``REPRO_SANITIZE``) cross the
+Environment knobs (``REPRO_SANITIZE``, the crash knob) cross the
 process boundary through an explicit initializer dict handed to every
 worker -- never through fork/spawn inheritance -- and each worker
 reports the environment it actually applied so tests can assert
@@ -74,7 +74,6 @@ from ..obs.sanitizer import (
     uninstall_sanitizer,
 )
 from ..obs.trace import get_tracer
-from ..smt.backend import FLOAT_MODE_ENV, resolve_float_mode
 from ..smt.stats import GLOBAL_COUNTERS
 from ..tpch import WorkloadQuery, generate_workload
 from .harness import (
@@ -97,7 +96,7 @@ CRASH_ENV = "REPRO_BENCH_CRASH_QUERY"
 
 #: Environment keys propagated into every worker through the explicit
 #: initializer dict (never via start-method inheritance alone).
-PROPAGATED_ENV = (FLOAT_MODE_ENV, SANITIZE_ENV, CRASH_ENV)
+PROPAGATED_ENV = (SANITIZE_ENV, CRASH_ENV)
 
 #: Attempt ledger cap: a query is dispatched at most this many times.
 #: 2 = the at-most-once requeue the crash-isolation contract promises.
@@ -828,9 +827,6 @@ def parallel_efficacy_records(
         with RunLedger(
             telemetry.ledger_path,
             {
-                "float_filter": resolve_float_mode(
-                    _CONFIGS["SIA"].float_filter
-                ),
                 "techniques": list(techniques),
                 "workers": workers,
                 "deadline_ms": deadline_ms,

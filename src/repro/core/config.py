@@ -43,19 +43,6 @@ class SiaConfig:
     # 6.2: "the optimizer may use SIA with an explicit timeout".  On
     # expiry the loop returns the best valid predicate found so far.
     timeout_ms: float | None = None
-    # Two-tier tableau backend (repro.smt.backend): "off" runs the
-    # exact Fraction simplex alone (the historical path); "filter"
-    # runs a float-arithmetic tableau first and uses its UNSAT
-    # verdicts -- after exact re-derivation of the certificate -- to
-    # skip exact pivoting; "filter+trust-sat" additionally accepts
-    # float SAT candidates once they model-check in exact arithmetic.
-    # All three modes produce identical verdicts and exact-Fraction
-    # certificates (the differential suite in
-    # tests/smt/test_two_tier.py proves it); the knob trades float-tier
-    # throughput against pure-exact predictability.  The
-    # SIA_FLOAT_FILTER environment variable overrides this at every
-    # solver construction site (CI forces both extremes).
-    float_filter: str = "filter+trust-sat"
 
     def with_seed(self, seed: int) -> "SiaConfig":
         return replace(self, seed=seed)

@@ -214,9 +214,7 @@ class IncrementalEnumerator:
         with_box: bool,
     ) -> None:
         self.variables = variables
-        self._solver = Solver(
-            bnb_budget=config.bnb_budget, float_filter=config.float_filter
-        )
+        self._solver = Solver(bnb_budget=config.bnb_budget)
         self._solver.add(base)
         self._guard: BVar | None = None
         if with_box:
@@ -267,13 +265,12 @@ def enumerate_all(
     limit: int,
     *,
     bnb_budget: int = 4000,
-    float_filter: str | None = None,
 ) -> SampleSet:
     """Exhaustively enumerate models (the finite-domain fallback of
     section 5.3).  ``exhausted=True`` means the enumeration completed;
     ``False`` means the limit was hit."""
     points: list[Point] = []
-    solver = Solver(bnb_budget=bnb_budget, float_filter=float_filter)
+    solver = Solver(bnb_budget=bnb_budget)
     solver.add(base)
     for _ in range(limit):
         try:

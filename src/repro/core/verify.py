@@ -57,7 +57,6 @@ def verify_implied(
     *,
     bnb_budget: int = 4000,
     certify: bool = False,
-    float_filter: str | None = None,
 ) -> bool:
     """True iff ``original`` implies ``learned`` under three-valued logic.
 
@@ -78,7 +77,6 @@ def verify_implied(
         ctx,
         bnb_budget=bnb_budget,
         certify=certify,
-        float_filter=float_filter,
     )
 
 
@@ -89,21 +87,16 @@ def _implied(
     *,
     bnb_budget: int,
     certify: bool,
-    float_filter: str | None,
 ) -> bool:
     """``T(p) AND NOT T(p1)`` is UNSAT, on a fresh solver (see
     :func:`verify_implied`)."""
     obligation = conj([t_p, negate(learned_truth_formula(learned, ctx))])
     try:
         if not certify:
-            return not is_satisfiable(
-                obligation, bnb_budget=bnb_budget, float_filter=float_filter
-            )
+            return not is_satisfiable(obligation, bnb_budget=bnb_budget)
         from ..analysis.certify import audit_proof
 
-        solver = certified_solver(
-            [obligation], bnb_budget=bnb_budget, float_filter=float_filter
-        )
+        solver = certified_solver([obligation], bnb_budget=bnb_budget)
         assert solver.proof_log is not None
         if solver.proof_log.result != UNSAT:
             return False
@@ -127,13 +120,11 @@ class PredicateVerifier:
         *,
         bnb_budget: int = 4000,
         certify: bool = False,
-        float_filter: str | None = None,
     ) -> None:
         self._t_p = truth_formula(original, ctx)
         self._ctx = ctx
         self._bnb_budget = bnb_budget
         self._certify = certify
-        self._float_filter = float_filter
 
     def verify(self, learned: DisjunctivePredicate) -> bool:
         """True iff the original predicate implies ``learned`` (3VL)."""
@@ -148,7 +139,6 @@ class PredicateVerifier:
                 self._ctx,
                 bnb_budget=self._bnb_budget,
                 certify=self._certify,
-                float_filter=self._float_filter,
             )
             span.set(implied=result)
             return result

@@ -9,9 +9,9 @@ from, and what ``repro report`` renders as per-query profiles.
 File format (version 1) -- a header line followed by cell lines::
 
     {"type": "header", "version": 1, "t": 12.3,
-     "config": {"float_filter": "filter+trust-sat", "techniques": [...],
-                "workers": 2, "deadline_ms": 4000.0, "sanitize": false,
-                "seed": 42, "queries": 8}}
+     "config": {"techniques": [...], "workers": 2,
+                "deadline_ms": 4000.0, "sanitize": false, "seed": 42,
+                "queries": 8}}
     {"type": "cell", "query": 0, "subset": ["l_shipdate"],
      "technique": "SIA", "valid": true, "optimal": true,
      "partial": false, "possible": true, "iterations": 3,
@@ -247,14 +247,8 @@ def render_report(header: dict, entries: list[dict]) -> str:
         f"{totals['valid']} valid, {totals['optimal']} optimal, "
         f"{totals['partial']} partial"
         + (
-            f" (float_filter={config['float_filter']}"
-            + (
-                f", deadline_ms={config['deadline_ms']}"
-                if config.get("deadline_ms") is not None
-                else ""
-            )
-            + ")"
-            if config.get("float_filter")
+            f" (deadline_ms={config['deadline_ms']})"
+            if config.get("deadline_ms") is not None
             else ""
         )
     )

@@ -13,21 +13,12 @@ substitution table).  Public surface:
 * quantifier elimination: ``eliminate_exists``, ``unsat_region``
 * certified checks: ``certified_solver`` (a sealed proof-logging
   solver); :data:`GLOBAL_COUNTERS` instrumentation
-* two-tier tableau: :class:`TableauBackend`, ``check_tableau`` and the
-  float-filter mode constants (``FLOAT_OFF`` / ``FLOAT_FILTER`` /
-  ``FLOAT_TRUST_SAT``); the float tier itself is
-  :class:`~repro.smt.floatsimplex.FloatSimplex`
+* two-tier tableau: ``check_tableau``, the single LRA entry point --
+  the float tier (:class:`~repro.smt.floatsimplex.FloatSimplex`) runs
+  first and the exact :class:`Simplex` confirms its verdict
 """
 
-from .backend import (
-    FLOAT_FILTER,
-    FLOAT_MODES,
-    FLOAT_OFF,
-    FLOAT_TRUST_SAT,
-    TableauBackend,
-    check_tableau,
-    resolve_float_mode,
-)
+from .backend import check_tableau
 from .formula import (
     EQ,
     FALSE,
@@ -91,10 +82,6 @@ __all__ = [
     "EliminationResult",
     "EQ",
     "FALSE",
-    "FLOAT_FILTER",
-    "FLOAT_MODES",
-    "FLOAT_OFF",
-    "FLOAT_TRUST_SAT",
     "FarkasCert",
     "FarkasEntry",
     "Formula",
@@ -113,7 +100,6 @@ __all__ = [
     "SAT",
     "Simplex",
     "SplitCert",
-    "TableauBackend",
     "TrichotomyCert",
     "Solver",
     "SolverBudgetError",
@@ -143,7 +129,6 @@ __all__ = [
     "linear_combination",
     "lt",
     "negate",
-    "resolve_float_mode",
     "tighten",
     "to_dnf",
     "to_nnf",

@@ -1,35 +1,23 @@
 """Two-tier tableau backend: float filter, exact certified confirmation.
 
-The numeric core used to be a single hardwired Fraction simplex; this
-module makes the tableau pluggable and adds the fast tier in front:
+:func:`check_tableau` is the one entry point every LRA feasibility
+check routes through (:func:`repro.smt.theory._lra_check`).  The
+epsilon-guarded float simplex
+(:class:`repro.smt.floatsimplex.FloatSimplex`) runs first and its
+verdict is **advisory**; the exact Dutertre--de Moura tableau
+(:class:`repro.smt.simplex.Simplex`) confirms it:
 
-* :class:`TableauBackend` -- the structural protocol both tiers
-  implement (``assert_atom`` + ``check``).  The exact Dutertre--de
-  Moura implementation (:class:`repro.smt.simplex.Simplex`) and the
-  epsilon-guarded float clone
-  (:class:`repro.smt.floatsimplex.FloatSimplex`) are its two
-  instances.
-* :func:`check_tableau` -- the orchestrator every LRA feasibility
-  check routes through (:func:`repro.smt.theory._lra_check`).  Mode
-  ``off`` is the historical exact-only path.  In the filter modes the
-  float tier runs first and its verdict is **advisory**:
-
-  - float-UNSAT hands the suspected Farkas row set (conflict tags) to
-    the exact tier, which re-derives the certificate from Fractions by
-    solving just those constraints; a refuted suspicion falls back to
-    the full exact solve.  Every surfaced ``TheoryConflict`` therefore
-    carries an exact-Fraction Farkas witness -- the proof/certify
-    layer never sees a float.
-  - float-SAT is confirmed by snapping the candidate onto exact bound
-    values and model-checking every constraint in Fractions (mode
-    ``filter+trust-sat``), or conservatively re-solved exactly (mode
-    ``filter``).
-
-Mode selection threads down from :class:`repro.core.config.SiaConfig`
-(``float_filter``) through ``Solver``; the
-``SIA_FLOAT_FILTER`` environment variable force-overrides every
-construction site (used by CI to run the tier-1 suite with the float
-tier forced on and forced off).
+* float-UNSAT hands the suspected Farkas row set (conflict tags) to the
+  exact tier, which re-derives the certificate from Fractions by
+  solving just those constraints; a refuted suspicion falls back to
+  the full exact solve.  Every surfaced ``TheoryConflict`` therefore
+  carries an exact-Fraction Farkas witness -- the proof/certify layer
+  never sees a float.
+* float-SAT is confirmed by snapping the candidate onto exact bound
+  values and model-checking every constraint in Fractions; a candidate
+  that fails the check falls back to the full exact solve.
+* a float give-up (pivot cap, ill-conditioning) falls back to the full
+  exact solve.
 
 Instrumentation: per-tier pivot/agreement/disagreement counters live
 in :data:`repro.smt.stats.GLOBAL_COUNTERS` (so ``counters=True`` trace
@@ -40,9 +28,8 @@ tier latencies are recorded as ``smt.tier.*_ms`` timers in
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from typing import Hashable, Mapping, Protocol, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from ..obs.clock import now as _clock_now
 from ..obs.metrics import GLOBAL_METRICS
@@ -59,67 +46,10 @@ from .terms import Var
 
 Tag = Hashable
 
-__all__ = [
-    "FLOAT_OFF",
-    "FLOAT_FILTER",
-    "FLOAT_TRUST_SAT",
-    "FLOAT_MODES",
-    "FLOAT_MODE_ENV",
-    "TableauBackend",
-    "check_tableau",
-    "resolve_float_mode",
-]
-
-#: Exact-only: the historical single-tier path.
-FLOAT_OFF = "off"
-#: Float tier filters; float-SAT still re-solves exactly from scratch.
-FLOAT_FILTER = "filter"
-#: Additionally trust float-SAT *hints*: snap the candidate model onto
-#: exact values and accept it once it model-checks in Fractions.
-FLOAT_TRUST_SAT = "filter+trust-sat"
-
-FLOAT_MODES = (FLOAT_OFF, FLOAT_FILTER, FLOAT_TRUST_SAT)
-
-#: Environment override: forces the mode at every construction site.
-FLOAT_MODE_ENV = "SIA_FLOAT_FILTER"
+__all__ = ["check_tableau"]
 
 #: Denominator cap when rationalizing a float that snapped to no bound.
 _SNAP_DENOMINATOR = 10**9
-
-
-class TableauBackend(Protocol):
-    """Structural protocol of one tableau tier.
-
-    ``assert_atom`` installs ``atom.expr atom.op 0`` under ``tag`` and
-    may raise the tier's conflict exception; ``check`` either returns
-    a variable assignment or raises it.  The exact tier's assignment
-    maps to :class:`DeltaRational`; the float tier's to
-    :class:`FloatDelta` -- the orchestrator is the only place aware of
-    both value domains.
-    """
-
-    def assert_atom(self, atom: Atom, tag: Tag) -> None: ...
-
-    def check(self) -> Mapping[Var, object]: ...
-
-
-def resolve_float_mode(mode: str | None) -> str:
-    """Validate ``mode``, honoring the ``SIA_FLOAT_FILTER`` override.
-
-    ``None`` means "caller has no opinion" and resolves to the env
-    override or :data:`FLOAT_OFF`.
-    """
-    override = os.environ.get(FLOAT_MODE_ENV)
-    if override:
-        mode = override
-    if mode is None:
-        mode = FLOAT_OFF
-    if mode not in FLOAT_MODES:
-        raise ValueError(
-            f"unknown float-filter mode {mode!r}; expected one of "
-            f"{', '.join(FLOAT_MODES)}"
-        )
-    return mode
 
 
 # ----------------------------------------------------------------------
@@ -129,13 +59,10 @@ def _exact_check(
     constraints: Sequence[tuple[Atom, Tag]],
 ) -> dict[Var, DeltaRational]:
     """One full exact-simplex feasibility run (raises TheoryConflict)."""
-    simplex: TableauBackend = Simplex()
+    simplex = Simplex()
     for atom, tag in constraints:
         simplex.assert_atom(atom, tag)
-    assignment = simplex.check()
-    # The exact tier's values are DeltaRational by construction; the
-    # cast is only narrowing what the protocol widened.
-    return dict(assignment)  # type: ignore[arg-type]
+    return simplex.check()
 
 
 def _timed_exact(
@@ -246,19 +173,13 @@ def _confirm_sat(
 # ----------------------------------------------------------------------
 def check_tableau(
     constraints: Sequence[tuple[Atom, Tag]],
-    *,
-    float_mode: str = FLOAT_OFF,
 ) -> dict[Var, DeltaRational]:
     """Feasibility of one LRA conjunction through the tier stack.
 
     Returns an exact delta-rational assignment or raises
-    :class:`TheoryConflict` carrying an exact Farkas witness --
-    identical contract to the historical direct-simplex path,
-    whichever tier did the work.
+    :class:`TheoryConflict` carrying an exact Farkas witness, whichever
+    tier did the work.
     """
-    if float_mode == FLOAT_OFF:
-        return _exact_check(constraints)
-
     GLOBAL_COUNTERS.float_checks += 1
     start = _clock_now()
     conflict: FloatConflict | None = None
@@ -298,17 +219,16 @@ def check_tableau(
         return _timed_exact(constraints, "smt.tier.fallback_ms")
 
     assert candidate is not None
-    if float_mode == FLOAT_TRUST_SAT:
-        confirm_start = _clock_now()
-        model = _confirm_sat(constraints, tableau, candidate)
-        GLOBAL_METRICS.timer("smt.tier.exact_ms").record(
-            (_clock_now() - confirm_start) * 1000
-        )
-        if model is not None:
-            GLOBAL_COUNTERS.float_sat_confirmed += 1
-            return model
-        # Candidate failed the exact model check: the float tier was
-        # wrong (or merely imprecise); count it and re-solve exactly.
-        GLOBAL_COUNTERS.tier_disagreements += 1
+    confirm_start = _clock_now()
+    model = _confirm_sat(constraints, tableau, candidate)
+    GLOBAL_METRICS.timer("smt.tier.exact_ms").record(
+        (_clock_now() - confirm_start) * 1000
+    )
+    if model is not None:
+        GLOBAL_COUNTERS.float_sat_confirmed += 1
+        return model
+    # Candidate failed the exact model check: the float tier was wrong
+    # (or merely imprecise); count it and re-solve exactly.
+    GLOBAL_COUNTERS.tier_disagreements += 1
     GLOBAL_COUNTERS.tier_fallbacks += 1
     return _timed_exact(constraints, "smt.tier.fallback_ms")

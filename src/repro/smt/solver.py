@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Any, Iterable
 
 from ..obs.trace import get_tracer
-from .backend import resolve_float_mode
 from .cnf import CnfBuilder
 from .formula import EQ, LE, LT, NE, Atom, BVar, Formula, Not as FNot
 from .proof import (
@@ -115,13 +114,8 @@ class Solver:
         ordering_lemmas: bool = True,
         proof: bool = False,
         minimize_cores: bool = False,
-        float_filter: str | None = None,
     ) -> None:
         GLOBAL_COUNTERS.solvers_constructed += 1
-        # Tier selection for every theory check this solver issues
-        # (resolved once here so the SIA_FLOAT_FILTER env override and
-        # mode validation apply at construction, not per check).
-        self._float_mode = resolve_float_mode(float_filter)
         self._builder = CnfBuilder()
         self._sat = SatSolver()
         self._clauses_sent = 0
@@ -363,11 +357,7 @@ class Solver:
             return None
 
         try:
-            values = check_conjunction(
-                constraints,
-                max_nodes=self._bnb_budget,
-                float_mode=self._float_mode,
-            )
+            values = check_conjunction(constraints, max_nodes=self._bnb_budget)
         except TheoryConflict as conflict:
             if self._minimize_cores:
                 conflict = self._minimize_conflict(conflict, constraints)
@@ -435,11 +425,7 @@ class Solver:
                 if t in atom_of_tag
             ]
             try:
-                check_conjunction(
-                    trial,
-                    max_nodes=self._bnb_budget,
-                    float_mode=self._float_mode,
-                )
+                check_conjunction(trial, max_nodes=self._bnb_budget)
             except TheoryConflict as sub:
                 core = set(sub.core)
                 best = sub
@@ -651,45 +637,32 @@ class Solver:
 # ----------------------------------------------------------------------
 # Convenience helpers used across the code base
 # ----------------------------------------------------------------------
-def certified_solver(
-    formulas: Iterable[Formula],
-    *,
-    bnb_budget: int = 4000,
-    float_filter: str | None = None,
-) -> Solver:
+def certified_solver(formulas: Iterable[Formula], *, bnb_budget: int = 4000) -> Solver:
     """Sealed fresh proof-logging solver over ``formulas``, checked.
 
     The canonical entry point for certified verdicts: callers read the
     verdict from ``proof_log.result`` and hand the log to the auditor
     (:mod:`repro.analysis.certify`).  The float tier composes with
     proof logging: its verdicts are advisory and every certificate is
-    re-derived exactly, so a certified check may still run the filter.
+    re-derived exactly, so a certified check runs it too.
     """
     GLOBAL_COUNTERS.proof_fallbacks += 1
-    solver = Solver(bnb_budget=bnb_budget, proof=True, float_filter=float_filter)
+    solver = Solver(bnb_budget=bnb_budget, proof=True)
     solver.add(*formulas)
     solver.check()
     return solver
 
 
-def is_satisfiable(
-    *formulas: Formula,
-    bnb_budget: int = 4000,
-    float_filter: str | None = None,
-) -> bool:
+def is_satisfiable(*formulas: Formula, bnb_budget: int = 4000) -> bool:
     """One-shot satisfiability of the conjunction of ``formulas``."""
-    solver = Solver(bnb_budget=bnb_budget, float_filter=float_filter)
+    solver = Solver(bnb_budget=bnb_budget)
     solver.add(*formulas)
     return solver.check() == SAT
 
 
-def get_model(
-    *formulas: Formula,
-    bnb_budget: int = 4000,
-    float_filter: str | None = None,
-) -> Model | None:
+def get_model(*formulas: Formula, bnb_budget: int = 4000) -> Model | None:
     """One-shot model of the conjunction, or None when unsat."""
-    solver = Solver(bnb_budget=bnb_budget, float_filter=float_filter)
+    solver = Solver(bnb_budget=bnb_budget)
     solver.add(*formulas)
     if solver.check() == SAT:
         return solver.model()

@@ -13,7 +13,8 @@ parallel workload driver snapshot around their workloads:
 * ``proof_fallbacks`` -- certified checks, each on a sealed
   proof-logging solver (:func:`~repro.smt.solver.certified_solver`),
 * ``float_checks`` / ``float_pivots`` -- two-tier backend
-  (:mod:`repro.smt.backend`): LRA checks that entered the float tier,
+  (:mod:`repro.smt.backend`): LRA checks that entered the float tier
+  (every LRA check does),
   and pivots spent there (``pivots`` stays the *exact*-tier pivot
   count, so ``float_pivots / (float_pivots + pivots)`` is the share of
   pivot work the cheap tier absorbed),
@@ -25,8 +26,7 @@ parallel workload driver snapshot around their workloads:
   (a bogus conflict or a candidate that failed the exact model check);
   each one is silently corrected by a full exact solve,
 * ``tier_fallbacks`` -- float-tier checks that ended in a full exact
-  solve for any reason (give-up, disagreement, or ``filter`` mode's
-  conservative SAT path).
+  solve for any reason (a float give-up or a disagreement).
 
 **Counting semantics** (pinned by ``tests/smt/test_counter_semantics.py``):
 ``checks`` counts *every* top-level ``Solver.check`` call, certified

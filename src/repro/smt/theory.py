@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Sequence
 
-from .backend import FLOAT_OFF, check_tableau
+from .backend import check_tableau
 from .formula import EQ, LE, LT, Atom
 from .proof import FarkasCert, FarkasEntry, IntDivCert, SplitCert, TheoryCert
 from .simplex import TheoryConflict, concrete_model
@@ -105,7 +105,6 @@ def check_conjunction(
     constraints: Sequence[tuple[Atom, Tag]],
     *,
     max_nodes: int = 4000,
-    float_mode: str = FLOAT_OFF,
 ) -> dict[Var, Fraction]:
     """Feasibility of a conjunction over mixed integer/real variables.
 
@@ -114,9 +113,9 @@ def check_conjunction(
     :class:`TheoryConflict` with a core of input tags when infeasible,
     or :class:`SolverBudgetError` when branch and bound gives up.
 
-    ``float_mode`` selects the tableau tier stack for every rational
-    relaxation (:func:`repro.smt.backend.check_tableau`); the returned
-    model and any conflict certificate are exact regardless of mode.
+    Every rational relaxation runs through the two-tier tableau
+    (:func:`repro.smt.backend.check_tableau`); the returned model and
+    any conflict certificate are exact whichever tier did the work.
     """
     prepared: list[tuple[Atom, Tag]] = []
     orig_of_tag: dict[Tag, Atom] = {}
@@ -130,9 +129,7 @@ def check_conjunction(
                 frozenset([tag]), cert=_refute_folded(atom, tag)
             )
         prepared.append((tightened, tag))
-    return _branch_and_bound(
-        prepared, max_nodes, orig_of_tag, float_mode=float_mode
-    )
+    return _branch_and_bound(prepared, max_nodes, orig_of_tag)
 
 
 def _refute_folded(atom: Atom, tag: Tag) -> TheoryCert:
@@ -201,10 +198,7 @@ def _leaf_cert(
     return FarkasCert(tuple(entries))
 
 
-def _lra_check(
-    constraints: list[tuple[Atom, Tag]],
-    float_mode: str = FLOAT_OFF,
-) -> dict[Var, Fraction]:
+def _lra_check(constraints: list[tuple[Atom, Tag]]) -> dict[Var, Fraction]:
     """One rational-relaxation feasibility check.
 
     Tableau solving is delegated to the two-tier backend; whichever
@@ -218,7 +212,7 @@ def _lra_check(
             strict_exprs.append(atom.expr)
         elif atom.op == LE:
             nonstrict_exprs.append(atom.expr)
-    assignment = check_tableau(constraints, float_mode=float_mode)
+    assignment = check_tableau(constraints)
     return concrete_model(assignment, strict_exprs, nonstrict_exprs)
 
 
@@ -226,8 +220,6 @@ def _branch_and_bound(
     base: list[tuple[Atom, Tag]],
     max_nodes: int,
     orig_of_tag: dict[Tag, Atom] | None = None,
-    *,
-    float_mode: str = FLOAT_OFF,
 ) -> dict[Var, Fraction]:
     """Iterative depth-first branch and bound.
 
@@ -305,7 +297,7 @@ def _branch_and_bound(
         frame = frames[index]
         constraints = base + frame["extra"]
         try:
-            model = _lra_check(constraints, float_mode)
+            model = _lra_check(constraints)
         except TheoryConflict as conflict:
             leaf = _leaf_cert(conflict, orig_atoms)
             if frame["parent"] < 0:

@@ -99,9 +99,15 @@ def test_parent_metrics_registry_is_isolated_from_workers():
     """Workers report deltas; the parent's own registry must not absorb
     worker traffic on the side (that would double-count the merge)."""
     from repro.obs.metrics import GLOBAL_METRICS
+    from repro.tpch import generate_workload
 
+    # Workload generation is the parent's own solver work (its checks
+    # record smt.tier.* timers here), so it happens before the snapshot.
+    queries = generate_workload(FAST["num_queries"], seed=FAST["seed"])
     before = GLOBAL_METRICS.snapshot()
-    parallel_efficacy_records(workers=2, **FAST)
+    parallel_efficacy_records(
+        workers=2, queries=queries, techniques=FAST["techniques"]
+    )
     delta = GLOBAL_METRICS.delta_since(before)
     assert delta.get("counters", {}) == {}
     assert delta.get("timers", {}) == {}
@@ -174,15 +180,16 @@ def test_work_stealing_preserves_merge_order():
 def test_worker_env_parity(monkeypatch):
     """Propagated knobs cross the process boundary through the explicit
     initializer: every worker reports exactly the parent's values."""
-    from repro.smt.backend import FLOAT_MODE_ENV
+    from repro.bench.parallel import CRASH_ENV
 
-    monkeypatch.setenv(FLOAT_MODE_ENV, "off")
-    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    # Any value but "1" propagates without installing the sanitizer.
+    monkeypatch.setenv("REPRO_SANITIZE", "0")
+    monkeypatch.delenv(CRASH_ENV, raising=False)
     result = parallel_efficacy_records(workers=2, **FAST)
     assert len(result.worker_env) == 2
     for snapshot in result.worker_env.values():
-        assert snapshot[FLOAT_MODE_ENV] == "off"
-        assert snapshot["REPRO_SANITIZE"] is None
+        assert snapshot["REPRO_SANITIZE"] == "0"
+        assert snapshot[CRASH_ENV] is None
 
 
 def test_parent_rewrite_cache_is_isolated_from_workers():

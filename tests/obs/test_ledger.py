@@ -62,7 +62,7 @@ class TestCellEntry:
 class TestRunLedger:
     def test_writes_header_then_flushed_cells(self, tmp_path):
         path = tmp_path / "tele" / "ledger.jsonl"
-        config = {"float_filter": "filter+trust-sat", "workers": 2}
+        config = {"deadline_ms": 4000.0, "workers": 2}
         with RunLedger(path, config) as ledger:
             ledger.append(cell_entry(_payload()))
             # Flushed per line: readable while the run is still going.
@@ -123,13 +123,16 @@ class TestProfilesAndReport:
         assert rows[1]["partial"] == 1
 
     def test_render_report_table_and_totals(self):
-        header = {"config": {"float_filter": "filter+trust-sat",
-                             "deadline_ms": 4000.0}}
+        header = {"config": {"workers": 2}}
         text = render_report(header, self._entries())
         assert "query" in text.splitlines()[0]
-        assert "3 cells over 2 queries: 2 valid, 1 optimal, 1 partial" in text
-        assert "float_filter=filter+trust-sat" in text
-        assert "deadline_ms=4000.0" in text
+        totals = text.splitlines()[-1]
+        assert totals == "3 cells over 2 queries: 2 valid, 1 optimal, 1 partial"
+
+    def test_render_report_prints_deadline_alone(self):
+        header = {"config": {"deadline_ms": 4000.0}}
+        totals = render_report(header, self._entries()).splitlines()[-1]
+        assert totals.endswith("1 partial (deadline_ms=4000.0)")
 
     def test_render_report_empty(self):
         assert render_report({}, []) == "ledger has no cell entries"

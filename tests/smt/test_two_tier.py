@@ -4,13 +4,12 @@ The float tier is allowed to be wrong -- these tests construct tableaux
 where it *is* (huge coefficient ratios, epsilon-straddling bounds,
 near-degenerate pivots, and an outright-lying stub tier) and assert the
 exact tier silently corrects every verdict.  A differential fuzz pass
-asserts final SAT/UNSAT verdicts are tier-independent, and the
-certified path is checked to produce pure-Fraction certificates with
-the filter on.
+asserts the two-tier verdicts match a plain exact :class:`Simplex`, and
+the certified path is checked to produce pure-Fraction certificates
+with the float tier running.
 """
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,9 +22,11 @@ from repro.smt import (
     UNSAT,
     Atom,
     BVar,
+    DeltaRational,
     LinExpr,
     Not,
     REAL,
+    Simplex,
     Solver,
     TheoryConflict,
     Var,
@@ -33,15 +34,9 @@ from repro.smt import (
     disj,
     is_satisfiable,
 )
-from repro.smt.backend import (
-    FLOAT_FILTER,
-    FLOAT_MODES,
-    FLOAT_OFF,
-    FLOAT_TRUST_SAT,
-    check_tableau,
-    resolve_float_mode,
-)
 from repro.smt import backend as backend_mod
+from repro.smt import theory as theory_mod
+from repro.smt.backend import check_tableau
 from repro.smt.floatsimplex import FloatConflict, FloatSimplex
 from repro.smt.stats import GLOBAL_COUNTERS
 from repro.smt.theory import check_conjunction
@@ -52,15 +47,6 @@ Z = Var("z", REAL)
 ex = LinExpr.var(X)
 ey = LinExpr.var(Y)
 ez = LinExpr.var(Z)
-
-FILTER_MODES = [FLOAT_FILTER, FLOAT_TRUST_SAT]
-
-
-@pytest.fixture(autouse=True)
-def _isolate_float_mode_env(monkeypatch):
-    # This file tests the tier machinery itself across explicit modes;
-    # a CI-level SIA_FLOAT_FILTER override must not leak in.
-    monkeypatch.delenv("SIA_FLOAT_FILTER", raising=False)
 
 
 def _tagged(atoms):
@@ -74,12 +60,34 @@ def _holds(atom, model):
     return atom.holds(value)
 
 
-def _verdict(atoms, mode):
+def _holds_delta(atom, model):
+    """Whether a delta-rational ``model`` satisfies ``atom``."""
+    real, k = atom.expr.const, Fraction(0)
+    for var, coeff in atom.expr.coeffs.items():
+        value = model[var]
+        real += coeff * value.real
+        k += coeff * value.k
+    return backend_mod._holds_symbolically(atom, DeltaRational(real, k))
+
+
+def _verdict(atoms):
     """SAT model or the TheoryConflict, via check_conjunction."""
     try:
-        return ("sat", check_conjunction(_tagged(atoms), float_mode=mode))
+        return ("sat", check_conjunction(_tagged(atoms)))
     except TheoryConflict as conflict:
         return ("unsat", conflict)
+
+
+def _exact_verdict(atoms):
+    """The reference: one plain exact simplex, no float tier."""
+    simplex = Simplex()
+    try:
+        for atom, tag in _tagged(atoms):
+            simplex.assert_atom(atom, tag)
+        simplex.check()
+    except TheoryConflict:
+        return "unsat"
+    return "sat"
 
 
 def _assert_exact_conflict(conflict, atoms):
@@ -105,10 +113,9 @@ def test_huge_coefficient_ratio_float_misses_unsat():
         Atom(1 - ey, LE),
         Atom(ex + ey * 10**18 - 10**18, LE),
     ]
-    for mode in FLOAT_MODES:
-        kind, payload = _verdict(atoms, mode)
-        assert kind == "unsat", mode
-        _assert_exact_conflict(payload, atoms)
+    kind, payload = _verdict(atoms)
+    assert kind == "unsat"
+    _assert_exact_conflict(payload, atoms)
 
 
 def test_epsilon_straddling_bounds_float_misses_unsat():
@@ -117,14 +124,12 @@ def test_epsilon_straddling_bounds_float_misses_unsat():
     gap = Fraction(1, 10**12)
     atoms = [Atom(ex - 5, LE), Atom((5 + gap) - ex, LE)]
     before = GLOBAL_COUNTERS.tier_disagreements
-    for mode in FLOAT_MODES:
-        kind, payload = _verdict(atoms, mode)
-        assert kind == "unsat", mode
-        _assert_exact_conflict(payload, atoms)
-    # The float tier answered SAT; plain ``filter`` mode just re-solves
-    # (no confirmation, no disagreement recorded), but ``trust-sat``
-    # mode catches the candidate failing the exact model check.
-    assert GLOBAL_COUNTERS.tier_disagreements >= before + 1
+    kind, payload = _verdict(atoms)
+    assert kind == "unsat"
+    _assert_exact_conflict(payload, atoms)
+    # The float tier answered SAT; the candidate failed the exact model
+    # check, which counts as a disagreement.
+    assert GLOBAL_COUNTERS.tier_disagreements == before + 1
 
 
 def test_near_degenerate_pivot_float_misses_sat():
@@ -137,11 +142,10 @@ def test_near_degenerate_pivot_float_misses_sat():
         Atom(ex - 1, LE),
     ]
     before = GLOBAL_COUNTERS.tier_disagreements
-    for mode in FILTER_MODES:
-        kind, model = _verdict(atoms, mode)
-        assert kind == "sat", mode
-        assert all(_holds(atom, model) for atom in atoms)
-    assert GLOBAL_COUNTERS.tier_disagreements >= before + 2
+    kind, model = _verdict(atoms)
+    assert kind == "sat"
+    assert all(_holds(atom, model) for atom in atoms)
+    assert GLOBAL_COUNTERS.tier_disagreements == before + 1
 
 
 def test_lying_float_tier_is_refuted(monkeypatch):
@@ -158,7 +162,7 @@ def test_lying_float_tier_is_refuted(monkeypatch):
     monkeypatch.setattr(backend_mod, "FloatSimplex", LyingSimplex)
     atoms = [Atom(1 - ex, LE), Atom(ex - 3, LE)]
     before = GLOBAL_COUNTERS.tier_disagreements
-    kind, model = _verdict(atoms, FLOAT_FILTER)
+    kind, model = _verdict(atoms)
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
     assert GLOBAL_COUNTERS.tier_disagreements == before + 1
@@ -170,7 +174,7 @@ def test_lying_float_tier_is_refuted(monkeypatch):
 def test_unsat_confirmation_reuses_suspected_core():
     atoms = [Atom(ex - 1, LE), Atom(2 - ex, LE), Atom(ey - 7, LE)]
     before = GLOBAL_COUNTERS.float_unsat_confirmed
-    kind, conflict = _verdict(atoms, FLOAT_FILTER)
+    kind, conflict = _verdict(atoms)
     assert kind == "unsat"
     # The irrelevant y bound (tag 3) must not pollute the core.
     assert set(conflict.core) == {1, 2}
@@ -186,7 +190,7 @@ def test_trust_sat_candidate_is_exact_and_checked():
         Atom(ez * 3 - 1, LE),       # z <= 1/3
     ]
     before = GLOBAL_COUNTERS.float_sat_confirmed
-    kind, model = _verdict(atoms, FLOAT_TRUST_SAT)
+    kind, model = _verdict(atoms)
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
     for value in model.values():
@@ -200,14 +204,14 @@ def test_give_up_falls_back_to_exact(monkeypatch):
     monkeypatch.setattr(fs, "_MAX_PIVOTS", 0)
     atoms = [Atom(2 - (ex + ey), LE), Atom(ex - 1, LE), Atom(ey - 1, LE)]
     before = GLOBAL_COUNTERS.tier_fallbacks
-    kind, model = _verdict(atoms, FLOAT_FILTER)
+    kind, model = _verdict(atoms)
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
     assert GLOBAL_COUNTERS.tier_fallbacks == before + 1
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: verdicts are tier-independent
+# Differential fuzz: two-tier verdicts match the exact reference
 # ----------------------------------------------------------------------
 def _random_atoms(rng):
     exprs = [ex, ey, ez, ex + ey, ex - ez, ey * 2 + ez]
@@ -225,27 +229,23 @@ def _random_atoms(rng):
 
 def test_differential_fuzz_conjunction_verdicts_tier_independent():
     rng = random.Random(20260808)
-    disagreements = 0
+    unsat = 0
     for _ in range(150):
         atoms = _random_atoms(rng)
-        results = {}
-        for mode in FLOAT_MODES:
-            kind, payload = _verdict(atoms, mode)
-            results[mode] = (kind, payload)
-        kinds = {kind for kind, _ in results.values()}
-        assert len(kinds) == 1, f"verdicts diverged on {atoms}: {results}"
-        (kind, _) = results[FLOAT_OFF]
-        for mode in FILTER_MODES:
-            _, payload = results[mode]
-            if kind == "sat":
-                assert all(_holds(atom, payload) for atom in atoms)
-            else:
-                _assert_exact_conflict(payload, atoms)
-                disagreements += 1
-    assert disagreements  # the fuzz actually exercised UNSAT paths
+        expected = _exact_verdict(atoms)
+        try:
+            model = check_tableau(_tagged(atoms))
+        except TheoryConflict as conflict:
+            assert expected == "unsat", f"spurious conflict on {atoms}"
+            _assert_exact_conflict(conflict, atoms)
+            unsat += 1
+            continue
+        assert expected == "sat", f"missed conflict on {atoms}"
+        assert all(_holds_delta(atom, model) for atom in atoms)
+    assert unsat  # the fuzz actually exercised UNSAT paths
 
 
-def test_differential_full_solver_verdicts_and_certificates():
+def test_differential_full_solver_verdicts_and_certificates(monkeypatch):
     from repro.analysis.certify import audit_proof
     from repro.smt import certified_solver
     from tests.smt.test_solver_bruteforce import random_formula
@@ -253,67 +253,41 @@ def test_differential_full_solver_verdicts_and_certificates():
     rng = random.Random(7)
     for _ in range(40):
         formula = random_formula(rng)
-        verdicts = {
-            mode: is_satisfiable(formula, float_filter=mode)
-            for mode in FLOAT_MODES
-        }
-        assert len(set(verdicts.values())) == 1, formula
-        if not verdicts[FLOAT_OFF]:
-            # Certified replay with the filter on: the audit must pass
-            # and the proof's theory certificates must be float-free.
-            solver = certified_solver([formula], float_filter=FLOAT_TRUST_SAT)
+        with monkeypatch.context() as exact_only:
+            exact_only.setattr(
+                theory_mod, "check_tableau", backend_mod._exact_check
+            )
+            expected = is_satisfiable(formula)
+        assert is_satisfiable(formula) == expected, formula
+        if not expected:
+            # Certified replay with the float tier running: the audit
+            # must pass and the proof's certificates must be float-free.
+            solver = certified_solver([formula])
             assert solver.proof_log is not None
             assert solver.proof_log.result == UNSAT
             assert audit_proof(solver.proof_log, origin="two-tier") == []
 
 
 # ----------------------------------------------------------------------
-# Mode resolution and threading
+# Every solver runs the float tier
 # ----------------------------------------------------------------------
-def test_resolve_float_mode_validates():
-    assert resolve_float_mode(None) == FLOAT_OFF
-    assert resolve_float_mode(FLOAT_TRUST_SAT) == FLOAT_TRUST_SAT
-    with pytest.raises(ValueError):
-        resolve_float_mode("sometimes")
-
-
-def test_env_override_forces_mode(monkeypatch):
-    monkeypatch.setenv("SIA_FLOAT_FILTER", FLOAT_OFF)
-    assert resolve_float_mode(FLOAT_TRUST_SAT) == FLOAT_OFF
-    monkeypatch.setenv("SIA_FLOAT_FILTER", FLOAT_FILTER)
-    assert resolve_float_mode(None) == FLOAT_FILTER
+def test_bare_solver_and_is_satisfiable_enter_float_tier():
     before = GLOBAL_COUNTERS.float_checks
-    solver = Solver()  # env says "filter": the float tier must run
+    solver = Solver()
     solver.add(Atom(ex - 1, LE))
     assert solver.check() == SAT
     assert GLOBAL_COUNTERS.float_checks > before
-
-
-def test_enumerator_threads_float_filter():
-    from repro.core import SIA_DEFAULT
-    from repro.core.samples import IncrementalEnumerator
-
-    config = replace(SIA_DEFAULT, float_filter=FLOAT_TRUST_SAT)
     before = GLOBAL_COUNTERS.float_checks
-    enumerator = IncrementalEnumerator(
-        conj([Atom(1 - ex, LE), Atom(ex - 4, LE)]),
-        [X],
-        [],
-        config,
-        with_box=True,
-    )
-    point = enumerator.next([])
+    assert is_satisfiable(conj([Atom(1 - ex, LE), Atom(ex - 4, LE)]))
     assert GLOBAL_COUNTERS.float_checks > before
-    assert point is not None and Fraction(1) <= point[X] <= Fraction(4)
 
 
 def test_box_guard_semantics_survive_the_filter():
-    # Guarded and unguarded checks across modes: verdicts must match
-    # the exact-only solver check for check.
+    # Guarded and unguarded checks on one solver: the guard's
+    # assumption must flip the verdict.
     guard = BVar("__two_tier_box__")
-    for mode in FLOAT_MODES:
-        solver = Solver(float_filter=mode)
-        solver.add(Atom(1 - ex, LE))  # x >= 1
-        solver.add(disj([Not(guard), Atom(ex - 0, LE)]))  # guard -> x <= 0
-        assert solver.check([guard]) == UNSAT
-        assert solver.check() == SAT
+    solver = Solver()
+    solver.add(Atom(1 - ex, LE))  # x >= 1
+    solver.add(disj([Not(guard), Atom(ex - 0, LE)]))  # guard -> x <= 0
+    assert solver.check([guard]) == UNSAT
+    assert solver.check() == SAT
