@@ -12,10 +12,7 @@ file and enforces them directly:
   (docs/INTERNALS.md).  ``repro/learn/`` is the *boundary zone*: numpy
   floats are its native currency, but every ``float()`` crossing must
   be explicitly sanctioned with ``# sia: allow-float`` so the set of
-  crossings stays auditable.  Two file-scoped exceptions:
-  ``smt/floatsimplex.py`` is the *float-tier zone* (the sanctioned
-  float tableau of the two-tier backend, exempt from the purity rules
-  but still a taint source the flow pass tracks), and
+  crossings stays auditable.  One file-scoped exception:
   ``analysis/certify.py`` is promoted *into* the exact zone (the
   certificate auditor must stay Fraction-pure even though it lives
   outside ``smt/``).
@@ -69,18 +66,9 @@ from .pragmas import extract_pragmas, is_suppressed
 EXACT_ZONE = "exact"
 BOUNDARY_ZONE = "boundary"
 GENERAL_ZONE = "general"
-FLOAT_TIER_ZONE = "float-tier"
 
 _EXACT_PARTS = frozenset({"smt", "predicates"})
 _BOUNDARY_PARTS = frozenset({"learn"})
-# The sanctioned float tier of the two-tier tableau backend
-# (repro.smt.backend): machine-float cells and epsilon guards are its
-# whole point, so the exact-purity rules (SIA001/002/003) do not apply
-# inside it.  The carve-out is file-scoped, not directory-scoped: every
-# *other* module under smt/ stays exact, and the flow layer treats the
-# float tier as ordinary (non-sink) code, so float taint *escaping* it
-# into exact-zone modules is still a SIA401 finding.
-_FLOAT_TIER_FILES = frozenset({"floatsimplex.py"})
 # Exact-zone promotion by file name: the certificate auditor lives
 # under analysis/ but consumes Farkas certificates that must be pure
 # Fraction arithmetic end-to-end, so float taint reaching it is flagged
@@ -110,8 +98,6 @@ _DATETIME_CLASSES = frozenset({"datetime", "date"})
 def zone_of(path: Path) -> str:
     """Lint zone of a source file, derived from its path segments."""
     parts = frozenset(path.parts)
-    if path.name in _FLOAT_TIER_FILES and "smt" in parts:
-        return FLOAT_TIER_ZONE
     if parts & _EXACT_PARTS:
         return EXACT_ZONE
     if path.name in _EXACT_FILES and parts & _EXACT_FILE_PARENTS:

@@ -1,13 +1,13 @@
 """Longest-expected-first scheduling for the sharded workload driver.
 
 The efficacy workload's wall-clock lives in its tail: BENCH history
-shows p95 around 8x the median even with the float tier on, so a
-static one-query-per-slot fan-out leaves most workers idle while one
-grinds.  The sharded driver (:mod:`repro.bench.parallel`) instead
-ranks queries by *expected* synthesis cost before dispatching and
-assigns them longest-first to the least-loaded shard (the classic LPT
-heuristic), so the grinders start early and the cheap queries fill the
-gaps -- with work stealing mopping up whatever the estimate got wrong.
+shows p95 around 8x the median, so a static one-query-per-slot fan-out
+leaves most workers idle while one grinds.  The sharded driver
+(:mod:`repro.bench.parallel`) instead ranks queries by *expected*
+synthesis cost before dispatching and assigns them longest-first to the
+least-loaded shard (the classic LPT heuristic), so the grinders start
+early and the cheap queries fill the gaps -- with work stealing
+mopping up whatever the estimate got wrong.
 
 The cost estimate is seeded from :mod:`repro.engine.statistics`
 cardinalities, as a real optimizer would seed admission control: a

@@ -2,7 +2,7 @@
 
 The checkpoint file (``bench/fullscale``) records *results*; the ledger
 records *attempts* -- what was tried, under which configuration, what
-it cost per phase and per solver tier, and how it ended.  That history
+it cost per phase and in solver counters, and how it ended.  That history
 is the substrate the ROADMAP's cost-validated promotion gate learns
 from, and what ``repro report`` renders as per-query profiles.
 
@@ -17,11 +17,11 @@ File format (version 1) -- a header line followed by cell lines::
      "partial": false, "possible": true, "iterations": 3,
      "phase_ms": {"generation": 81.2, "learning": 14.0,
                   "validation": 55.1},
-     "counters": {"checks": 41, "pivots": 310, "float_checks": 38},
+     "counters": {"checks": 41, "pivots": 310, "clauses_learned": 12},
      "audit": "certified", "deadline_ms": 4000.0}
 
 ``counters`` is the per-cell :data:`~repro.smt.stats.GLOBAL_COUNTERS`
-delta (so per-tier float/exact effort is attributable per attempt);
+delta (so solver effort is attributable per attempt);
 ``audit`` says whether the cell's verify verdicts were proof-logged
 (``certified``) or plain (``none``); ``partial`` marks a cell whose
 synthesis budget expired (section 6.2 cooperative deadline) so

@@ -13,9 +13,10 @@ substitution table).  Public surface:
 * quantifier elimination: ``eliminate_exists``, ``unsat_region``
 * certified checks: ``certified_solver`` (a sealed proof-logging
   solver); :data:`GLOBAL_COUNTERS` instrumentation
-* two-tier tableau: ``check_tableau``, the single LRA entry point --
-  the float tier (:class:`~repro.smt.floatsimplex.FloatSimplex`) runs
-  first and the exact :class:`Simplex` confirms its verdict
+* incremental theory core: each :class:`Solver` owns one exact
+  :class:`Simplex` for its lifetime; ``check_tableau`` is the single
+  LRA entry point, syncing that tableau to a round's constraints
+  before checking it from the previous basis
 """
 
 from .backend import check_tableau

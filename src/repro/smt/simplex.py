@@ -6,6 +6,14 @@ asserted constraints become bounds on slack variables, and a
 Bland's-rule pivoting loop either finds an assignment within all bounds
 or reports a minimal-ish infeasible set of constraint tags.
 
+The tableau is incremental.  A :class:`Simplex` lives as long as its
+owner (one per :class:`~repro.smt.solver.Solver`): slack rows are
+interned once per linear form, every asserted bound is kept in a
+per-variable bound set keyed by ``(atom, tag)``, and :meth:`Simplex.sync`
+diffs a new constraint set against what is asserted -- retracting the
+vanished bounds, asserting only the new ones -- so :meth:`Simplex.check`
+restarts from the previous basis and assignment.
+
 Strict inequalities are handled symbolically with *delta-rationals*
 ``r + k * delta`` where ``delta`` is an infinitesimal; a concrete
 positive value for ``delta`` is computed after a satisfying assignment
@@ -72,8 +80,8 @@ def _describe_atom(
     atom: Atom,
 ) -> tuple[str, bool] | tuple[str, Fraction, Fraction, bool]:
     """Per-atom assertion preprocessing, memoised across Simplex
-    instances (the DPLL(T) loop rebuilds the tableau every round, but
-    the exact-rational normalisation of each atom never changes).
+    instances (the exact-rational normalisation of an atom never
+    changes, and short-lived solvers re-assert the same atoms).
 
     Returns ``("const", holds)`` for constant atoms, else
     ``("bound", scale, rhs, strict)`` where the constraint is
@@ -115,7 +123,7 @@ class TheoryConflict(Exception):
         self.cert = cert
 
 
-@dataclass
+@dataclass(eq=False)
 class _Bound:
     """An asserted bound plus the data to rebuild its Farkas witness.
 
@@ -125,6 +133,8 @@ class _Bound:
     and a lower bound ``v >= rhs`` is ``-expr / scale <= 0``.
     """
 
+    var: Var
+    is_upper: bool
     value: DeltaRational
     tag: Tag
     mu: Fraction
@@ -132,18 +142,29 @@ class _Bound:
     op: str
 
 
+Key = tuple[Atom, Tag]
+
+
 class Simplex:
-    """Feasibility checker for conjunctions of linear constraints.
+    """Incremental feasibility checker for conjunctions of linear
+    constraints.
 
     Usage::
 
         s = Simplex()
         s.assert_atom(Atom(expr, LE), tag="c1")
         model = s.check()          # {Var: DeltaRational} or TheoryConflict
+        s.sync([(Atom(expr, LT), "c2")])   # retract c1, assert c2
+        model = s.check()          # warm start from the last basis
 
     Constraints are expressed as atoms ``expr op 0`` with op in
     ``<=, <, =``.  Asserted-false atoms must be negated by the caller
     before being fed here.
+
+    Invariants: every nonbasic variable lies within its active bounds
+    (the tightest of its bound set), and every row is written over the
+    current nonbasic variables -- a row added after pivots substitutes
+    the rows of the basic variables it mentions.
     """
 
     def __init__(self) -> None:
@@ -152,10 +173,15 @@ class Simplex:
         self._slack_of_form: dict[frozenset[tuple[Var, Fraction]], Var] = {}
         # rows: basic -> {nonbasic: coeff}; basic = sum coeff * nonbasic
         self.rows: dict[Var, dict[Var, Fraction]] = {}
+        # Active (tightest asserted) bounds per variable.
         self.lower: dict[Var, _Bound] = {}
         self.upper: dict[Var, _Bound] = {}
         self.beta: dict[Var, DeltaRational] = {}
-        self._strict_atoms: list[tuple[LinExpr, Tag]] = []
+        # Every asserted bound per variable, tightest or not, so a
+        # retraction can restore the next tightest; and the bounds each
+        # (atom, tag) key installed.
+        self._bound_set: dict[Var, list[_Bound]] = {}
+        self._asserted: dict[Key, tuple[_Bound, ...]] = {}
 
     # ------------------------------------------------------------------
     # Variable management
@@ -171,7 +197,9 @@ class Simplex:
 
         Two constraints over the same linear form (up to the constant)
         share a slack variable, which is what lets the tableau detect
-        their interaction.
+        their interaction.  A new slack row is written over the current
+        nonbasic variables: any variable of ``expr`` that earlier pivots
+        made basic is replaced by its row.
         """
         key = frozenset(expr.coeffs.items())
         slack = self._slack_of_form.get(key)
@@ -190,7 +218,13 @@ class Simplex:
         row: dict[Var, Fraction] = {}
         for var, coeff in expr.coeffs.items():
             self._intern(var)
-            row[var] = coeff
+            basic_row = self.rows.get(var, {var: Fraction(1)})
+            for nonbasic, sub in basic_row.items():
+                merged = row.get(nonbasic, Fraction(0)) + coeff * sub
+                if merged:
+                    row[nonbasic] = merged
+                else:
+                    row.pop(nonbasic, None)
         self.rows[slack] = row
         self.beta[slack] = self._row_value(row)
         self._slack_of_form[key] = slack
@@ -203,71 +237,117 @@ class Simplex:
         return total
 
     # ------------------------------------------------------------------
-    # Assertions
+    # Assertions and retractions
     # ------------------------------------------------------------------
+    def sync(self, constraints: Iterable[Key]) -> None:
+        """Make the asserted set exactly ``constraints``.
+
+        Bounds whose ``(atom, tag)`` key vanished are retracted first,
+        then only the new keys are asserted.  Raises TheoryConflict when
+        a new bound contradicts an active one; that bound is not stored
+        and the keys after it stay unasserted until the next sync.
+        """
+        wanted = dict.fromkeys(constraints)
+        stale = [key for key in self._asserted if key not in wanted]
+        for atom, tag in stale:
+            self.retract(atom, tag)
+        asserted = self._asserted
+        for atom, tag in wanted:
+            if (atom, tag) not in asserted:
+                self.assert_atom(atom, tag)
+
     def assert_atom(self, atom: Atom, tag: Tag) -> None:
-        """Assert ``atom.expr atom.op 0``.  Raises TheoryConflict."""
+        """Assert ``atom.expr atom.op 0``.  Raises TheoryConflict.
+
+        Asserting a key twice is a no-op; a key whose bound conflicts
+        at assert time is not stored.
+        """
+        key = (atom, tag)
+        if key in self._asserted:
+            return
         descriptor = _describe_atom(atom)
         if descriptor[0] == "const":
             if not descriptor[1]:
                 raise TheoryConflict(
                     frozenset([tag]), farkas=(_const_refutation(atom, tag),)
                 )
+            self._asserted[key] = ()
             return
         _, scale, rhs, strict = descriptor
         expr = atom.expr
         slack = self._slack_for(expr)
-        if strict:
-            self._strict_atoms.append((expr, tag))
+        bounds: tuple[_Bound, ...]
         if atom.op == EQ:
             inv = Fraction(1) / scale
-            self._assert_upper(
-                slack, _Bound(_dr(rhs), tag, inv, expr, atom.op)
-            )
-            self._assert_lower(
-                slack, _Bound(_dr(rhs), tag, -inv, expr, atom.op)
+            bounds = (
+                _Bound(slack, True, _dr(rhs), tag, inv, expr, atom.op),
+                _Bound(slack, False, _dr(rhs), tag, -inv, expr, atom.op),
             )
         elif scale > 0:
             bound = _dr(rhs, -1 if strict else 0)
-            self._assert_upper(
-                slack, _Bound(bound, tag, Fraction(1) / scale, expr, atom.op)
+            bounds = (
+                _Bound(slack, True, bound, tag, Fraction(1) / scale, expr, atom.op),
             )
         else:
             # Dividing by a negative scale flips the inequality.
             bound = _dr(rhs, 1 if strict else 0)
-            self._assert_lower(
-                slack, _Bound(bound, tag, Fraction(-1) / scale, expr, atom.op)
+            bounds = (
+                _Bound(slack, False, bound, tag, Fraction(-1) / scale, expr, atom.op),
             )
+        for index, new in enumerate(bounds):
+            try:
+                self._install(new)
+            except TheoryConflict:
+                for done in bounds[:index]:
+                    self._uninstall(done)
+                raise
+        self._asserted[key] = bounds
 
-    def _assert_upper(self, var: Var, new: _Bound) -> None:
-        value = new.value
-        low = self.lower.get(var)
-        if low is not None and value < low.value:
-            raise TheoryConflict(
-                frozenset([new.tag, low.tag]),
-                farkas=_merge_farkas([(Fraction(1), new), (Fraction(1), low)]),
-            )
-        up = self.upper.get(var)
-        if up is not None and up.value <= value:
-            return
-        self.upper[var] = new
-        if var not in self.rows and self.beta[var] > value:
-            self._update(var, value)
+    def retract(self, atom: Atom, tag: Tag) -> None:
+        """Drop the bounds asserted under ``(atom, tag)`` (if any).
 
-    def _assert_lower(self, var: Var, new: _Bound) -> None:
-        value = new.value
-        up = self.upper.get(var)
-        if up is not None and up.value < value:
+        The assignment stays: loosening a bound keeps every nonbasic
+        value within its bounds.
+        """
+        for bound in self._asserted.pop((atom, tag), ()):
+            self._uninstall(bound)
+
+    def _install(self, new: _Bound) -> None:
+        var, value, upper = new.var, new.value, new.is_upper
+        opposite = (self.lower if upper else self.upper).get(var)
+        if opposite is not None and _past(opposite.value, value, upper):
             raise TheoryConflict(
-                frozenset([new.tag, up.tag]),
-                farkas=_merge_farkas([(Fraction(1), new), (Fraction(1), up)]),
+                frozenset([new.tag, opposite.tag]),
+                farkas=_merge_farkas([(Fraction(1), new), (Fraction(1), opposite)]),
             )
-        low = self.lower.get(var)
-        if low is not None and low.value >= value:
+        self._bound_set.setdefault(var, []).append(new)
+        active = self.upper if upper else self.lower
+        current = active.get(var)
+        if current is None or _past(current.value, value, upper):
+            active[var] = new
+            if var not in self.rows and _past(self.beta[var], value, upper):
+                self._update(var, value)
+
+    def _uninstall(self, bound: _Bound) -> None:
+        var, upper = bound.var, bound.is_upper
+        bucket = self._bound_set[var]
+        for index, other in enumerate(bucket):
+            if other is bound:
+                del bucket[index]
+                break
+        active = self.upper if upper else self.lower
+        if active.get(var) is not bound:
             return
-        self.lower[var] = new
-        if var not in self.rows and self.beta[var] < value:
-            self._update(var, value)
+        tightest: _Bound | None = None
+        for other in bucket:
+            if other.is_upper == upper and (
+                tightest is None or _past(tightest.value, other.value, upper)
+            ):
+                tightest = other
+        if tightest is None:
+            del active[var]
+        else:
+            active[var] = tightest
 
     # ------------------------------------------------------------------
     # Pivoting
@@ -418,6 +498,12 @@ class Simplex:
             frozenset(bound.tag for _, bound in uses),
             farkas=_merge_farkas(uses),
         )
+
+
+def _past(value: DeltaRational, bound: DeltaRational, upper: bool) -> bool:
+    """Whether ``value`` lies strictly beyond ``bound`` on the side an
+    upper (``upper``) or lower bound excludes."""
+    return value > bound if upper else value < bound
 
 
 def _merge_farkas(

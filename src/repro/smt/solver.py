@@ -34,7 +34,7 @@ from .proof import (
     TrichotomyCert,
 )
 from .sat import SatSolver
-from .simplex import TheoryConflict
+from .simplex import Simplex, TheoryConflict
 from .stats import GLOBAL_COUNTERS
 from .terms import LinExpr, Var
 from .theory import SolverBudgetError, check_conjunction
@@ -83,11 +83,20 @@ def _atom_footprint(atom: Atom) -> set[Atom]:
     objects, e.g. ``~(e <= 0)`` becomes ``-e < 0``), and equality /
     disequality atoms split into strict pairs (``to_nnf`` with
     ``split_ne``, or the on-demand trichotomy lemma), so the footprint
-    closes over both polarities and the splits.
+    closes over both polarities and the splits.  The splits' own
+    complements ``-e <= 0`` and ``e <= 0`` name the same SAT variables
+    (:meth:`Solver._literal`), so they belong to the footprint too.
     """
     expr = atom.expr
     if atom.op in (EQ, NE):
-        return {Atom(expr, EQ), Atom(expr, NE), Atom(expr, LT), Atom(-expr, LT)}
+        return {
+            Atom(expr, EQ),
+            Atom(expr, NE),
+            Atom(expr, LT),
+            Atom(-expr, LT),
+            Atom(-expr, LE),
+            Atom(expr, LE),
+        }
     return {atom, atom.negated()}
 
 
@@ -134,6 +143,9 @@ class Solver:
         # by repro.analysis.certify when enabled.
         self.proof_log: ProofLog | None = ProofLog() if proof else None
         self._sat.proof = self.proof_log
+        # The solver's one exact tableau: each theory round syncs it to
+        # the round's constraints instead of building a fresh one.
+        self._tableau = Simplex()
         self._atoms_registered = 0
         # Atoms that only ever appeared as check assumptions (see
         # check): no asserted clause constrains them, so theory rounds
@@ -357,7 +369,9 @@ class Solver:
             return None
 
         try:
-            values = check_conjunction(constraints, max_nodes=self._bnb_budget)
+            values = check_conjunction(
+                constraints, max_nodes=self._bnb_budget, tableau=self._tableau
+            )
         except TheoryConflict as conflict:
             if self._minimize_cores:
                 conflict = self._minimize_conflict(conflict, constraints)
@@ -425,7 +439,9 @@ class Solver:
                 if t in atom_of_tag
             ]
             try:
-                check_conjunction(trial, max_nodes=self._bnb_budget)
+                check_conjunction(
+                    trial, max_nodes=self._bnb_budget, tableau=self._tableau
+                )
             except TheoryConflict as sub:
                 core = set(sub.core)
                 best = sub
@@ -642,9 +658,7 @@ def certified_solver(formulas: Iterable[Formula], *, bnb_budget: int = 4000) -> 
 
     The canonical entry point for certified verdicts: callers read the
     verdict from ``proof_log.result`` and hand the log to the auditor
-    (:mod:`repro.analysis.certify`).  The float tier composes with
-    proof logging: its verdicts are advisory and every certificate is
-    re-derived exactly, so a certified check runs it too.
+    (:mod:`repro.analysis.certify`).
     """
     GLOBAL_COUNTERS.proof_fallbacks += 1
     solver = Solver(bnb_budget=bnb_budget, proof=True)

@@ -11,22 +11,11 @@ parallel workload driver snapshot around their workloads:
 * ``restarts`` -- CDCL Luby restarts,
 * ``pivots`` -- simplex pivot operations,
 * ``proof_fallbacks`` -- certified checks, each on a sealed
-  proof-logging solver (:func:`~repro.smt.solver.certified_solver`),
-* ``float_checks`` / ``float_pivots`` -- two-tier backend
-  (:mod:`repro.smt.backend`): LRA checks that entered the float tier
-  (every LRA check does),
-  and pivots spent there (``pivots`` stays the *exact*-tier pivot
-  count, so ``float_pivots / (float_pivots + pivots)`` is the share of
-  pivot work the cheap tier absorbed),
-* ``float_sat_confirmed`` / ``float_unsat_confirmed`` -- float-tier
-  verdicts the exact tier confirmed (a snapped SAT candidate that
-  model-checked in Fractions; a suspected conflict re-derived as an
-  exact Farkas certificate),
-* ``tier_disagreements`` -- float verdicts the exact tier *refuted*
-  (a bogus conflict or a candidate that failed the exact model check);
-  each one is silently corrected by a full exact solve,
-* ``tier_fallbacks`` -- float-tier checks that ended in a full exact
-  solve for any reason (a float give-up or a disagreement).
+  proof-logging solver (:func:`~repro.smt.solver.certified_solver`).
+
+``pivots`` counts every pivot of the incremental exact tableau
+(:class:`~repro.smt.simplex.Simplex`), so a warm-started check that
+needs no pivot adds nothing.
 
 **Counting semantics** (pinned by ``tests/smt/test_counter_semantics.py``):
 ``checks`` counts *every* top-level ``Solver.check`` call, certified
@@ -56,14 +45,11 @@ class SolverCounters:
     clauses_learned: int = 0
     restarts: int = 0
     pivots: int = 0
-    # Always 0 (solvers are never pooled); read by perfbench/run.py.
-    sessions_reused: int = 0
     proof_fallbacks: int = 0
-    float_checks: int = 0
+    # Always 0: solvers are never pooled and there is no float tier to
+    # pivot in or fall back from.  perfbench/run.py reads them by key.
+    sessions_reused: int = 0
     float_pivots: int = 0
-    float_sat_confirmed: int = 0
-    float_unsat_confirmed: int = 0
-    tier_disagreements: int = 0
     tier_fallbacks: int = 0
 
     def snapshot(self) -> dict[str, int]:

@@ -24,12 +24,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .backend import check_tableau
 from .formula import EQ, LE, LT, Atom
 from .proof import FarkasCert, FarkasEntry, IntDivCert, SplitCert, TheoryCert
-from .simplex import TheoryConflict, concrete_model
+from .simplex import DeltaRational, Simplex, TheoryConflict, concrete_model
 from .terms import LinExpr, Var
 
 Tag = Hashable
@@ -105,6 +105,7 @@ def check_conjunction(
     constraints: Sequence[tuple[Atom, Tag]],
     *,
     max_nodes: int = 4000,
+    tableau: Simplex | None = None,
 ) -> dict[Var, Fraction]:
     """Feasibility of a conjunction over mixed integer/real variables.
 
@@ -113,9 +114,11 @@ def check_conjunction(
     :class:`TheoryConflict` with a core of input tags when infeasible,
     or :class:`SolverBudgetError` when branch and bound gives up.
 
-    Every rational relaxation runs through the two-tier tableau
-    (:func:`repro.smt.backend.check_tableau`); the returned model and
-    any conflict certificate are exact whichever tier did the work.
+    Every rational relaxation runs on ``tableau`` through
+    :func:`repro.smt.backend.check_tableau`: a solver passes its own
+    incremental tableau, which is synced to ``constraints`` (plus the
+    branch bounds) rather than rebuilt; without one a fresh tableau is
+    used.  The model holds exactly the variables of ``constraints``.
     """
     prepared: list[tuple[Atom, Tag]] = []
     orig_of_tag: dict[Tag, Atom] = {}
@@ -129,7 +132,9 @@ def check_conjunction(
                 frozenset([tag]), cert=_refute_folded(atom, tag)
             )
         prepared.append((tightened, tag))
-    return _branch_and_bound(prepared, max_nodes, orig_of_tag)
+    if tableau is None:
+        tableau = Simplex()
+    return _branch_and_bound(prepared, max_nodes, orig_of_tag, tableau)
 
 
 def _refute_folded(atom: Atom, tag: Tag) -> TheoryCert:
@@ -198,12 +203,16 @@ def _leaf_cert(
     return FarkasCert(tuple(entries))
 
 
-def _lra_check(constraints: list[tuple[Atom, Tag]]) -> dict[Var, Fraction]:
-    """One rational-relaxation feasibility check.
+def _concrete(
+    assignment: dict[Var, DeltaRational],
+    variables: Iterable[Var],
+    constraints: Iterable[tuple[Atom, Tag]],
+) -> dict[Var, Fraction]:
+    """Concrete model of ``variables`` from a delta-rational assignment.
 
-    Tableau solving is delegated to the two-tier backend; whichever
-    tier produced the delta-rational assignment, concretisation below
-    happens in exact Fractions.
+    The tableau may hold variables of earlier rounds; only the round's
+    own variables enter the model, and delta is chosen against the
+    round's own constraints.
     """
     strict_exprs: list[LinExpr] = []
     nonstrict_exprs: list[LinExpr] = []
@@ -212,16 +221,21 @@ def _lra_check(constraints: list[tuple[Atom, Tag]]) -> dict[Var, Fraction]:
             strict_exprs.append(atom.expr)
         elif atom.op == LE:
             nonstrict_exprs.append(atom.expr)
-    assignment = check_tableau(constraints)
-    return concrete_model(assignment, strict_exprs, nonstrict_exprs)
+    own = {var: assignment[var] for var in variables}
+    return concrete_model(own, strict_exprs, nonstrict_exprs)
 
 
 def _branch_and_bound(
     base: list[tuple[Atom, Tag]],
     max_nodes: int,
-    orig_of_tag: dict[Tag, Atom] | None = None,
+    orig_of_tag: dict[Tag, Atom],
+    tableau: Simplex,
 ) -> dict[Var, Fraction]:
-    """Iterative depth-first branch and bound.
+    """Iterative depth-first branch and bound on one tableau.
+
+    Every node syncs ``tableau`` to ``base`` plus its branch bounds and
+    re-checks from the warm basis; the base keys are already asserted,
+    so a node retracts and asserts only the branch bounds that differ.
 
     An explicit stack (rather than recursion) keeps deep branching
     chains -- e.g. thin rational slivers with no integer points -- from
@@ -235,7 +249,7 @@ def _branch_and_bound(
     from the simplex joined by :class:`~repro.smt.proof.SplitCert`
     nodes at each exhausted split.
     """
-    orig_atoms = orig_of_tag if orig_of_tag is not None else {}
+    variables = {var for atom, _ in base for var in atom.expr.coeffs}
     # Each stack frame: branch constraints, parent frame index, the
     # side of the parent's split it explores, accumulated child
     # (core, cert, side) triples, and the split it opened (if any).
@@ -297,14 +311,15 @@ def _branch_and_bound(
         frame = frames[index]
         constraints = base + frame["extra"]
         try:
-            model = _lra_check(constraints)
+            assignment = check_tableau(tableau, constraints)
         except TheoryConflict as conflict:
-            leaf = _leaf_cert(conflict, orig_atoms)
+            leaf = _leaf_cert(conflict, orig_of_tag)
             if frame["parent"] < 0:
                 conflict.cert = leaf
                 raise
             fail_upward(index, conflict.core, leaf)
             continue
+        model = _concrete(assignment, variables, constraints)
         branch_var, value = _fractional_int_var(model)
         if branch_var is None:
             return model

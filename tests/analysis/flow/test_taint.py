@@ -123,21 +123,21 @@ def test_float_into_certify_is_a_sink():
     assert [f.rule for f in analyze_taint(project)] == ["SIA401"]
 
 
-def test_float_into_float_tier_zone_is_not_a_sink():
-    # floatsimplex.py is the sanctioned float tier: calls into it are
-    # *supposed* to carry floats, so they are not taint sinks.
+def test_float_into_any_smt_module_is_a_sink():
+    # No smt/ file is exempt from the exact zone: float flowing into
+    # the tableau module is SIA401 like everywhere else under smt/.
     project = _project_from(
         {
-            "pkg/smt/floatsimplex.py": SINK,
+            "pkg/smt/simplex.py": SINK,
             "pkg/core/use.py": (
-                "from ..smt.floatsimplex import assert_bound\n"
+                "from ..smt.simplex import assert_bound\n"
                 "def drive(session, q):\n"
                 "    v = q * 0.5\n"
                 "    return assert_bound(session, v)\n"
             ),
         }
     )
-    assert analyze_taint(project) == []
+    assert [f.rule for f in analyze_taint(project)] == ["SIA401"]
 
 
 def test_fixture_package_end_to_end():

@@ -26,14 +26,10 @@ FLOAT_RULES = {"SIA001", "SIA002", "SIA003"}
 # repro/predicates/eval.py is the vectorised engine-evaluation
 # boundary; learn/rationalize.py is the paper's float->integer
 # crossing (DESIGN.md substitution table) -- learn/svm.py hands numpy
-# weights to it without a cast; repro/smt/backend.py snaps
-# float tableau candidates onto exact bounds (the two-tier
-# orchestrator's single comparison boundary).  repro/smt/floatsimplex.py
-# is deliberately absent: it is the float-tier *zone*, not a crossing
-# -- the purity rules do not apply inside it at all (tested below).
+# weights to it without a cast.  No other smt/ module has a crossing:
+# the theory core is exact end to end (tested below).
 SANCTIONED_FILES = {
     "src/repro/smt/sat.py",
-    "src/repro/smt/backend.py",
     "src/repro/predicates/eval.py",
     "src/repro/learn/rationalize.py",
 }
@@ -64,18 +60,16 @@ def test_crossings_exist_only_in_documented_files():
     assert observed == SANCTIONED_FILES
 
 
-def test_float_tier_zone_is_exempt_even_without_pragmas():
-    """floatsimplex.py is a zone carve-out, not a pragma'd exception.
+def test_every_smt_module_is_exact_zone():
+    """No smt/ file is carved out of the purity rules: a float literal
+    in any of them is a finding."""
+    from repro.analysis.lint import EXACT_ZONE, lint_source, zone_of
 
-    Its float cells produce zero findings even with pragmas ignored --
-    if the carve-out in ``zone_of`` ever regresses, the file's hundreds
-    of float operations would land in ``observed`` above and both this
-    test and the whitelist test would fail.
-    """
-    findings = _float_findings(
-        [SRC / "smt" / "floatsimplex.py"], honor_pragmas=False
-    )
-    assert findings == [], [f.render() for f in findings]
+    for name in ("simplex.py", "backend.py", "theory.py", "solver.py"):
+        path = SRC / "smt" / name
+        assert zone_of(path) == EXACT_ZONE
+        findings = lint_source("x = 0.5\n", path, honor_pragmas=False)
+        assert [f.rule for f in findings] == ["SIA001"]
 
 
 def test_certify_is_exact_zone_despite_living_under_analysis():

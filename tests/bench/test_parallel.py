@@ -101,8 +101,8 @@ def test_parent_metrics_registry_is_isolated_from_workers():
     from repro.obs.metrics import GLOBAL_METRICS
     from repro.tpch import generate_workload
 
-    # Workload generation is the parent's own solver work (its checks
-    # record smt.tier.* timers here), so it happens before the snapshot.
+    # Workload generation is the parent's own solver work, so it
+    # happens before the snapshot.
     queries = generate_workload(FAST["num_queries"], seed=FAST["seed"])
     before = GLOBAL_METRICS.snapshot()
     parallel_efficacy_records(

@@ -1,12 +1,10 @@
-"""Two-tier tableau backend: differential and adversarial coverage.
+"""Exact-core regressions from the retired two-tier backend.
 
-The float tier is allowed to be wrong -- these tests construct tableaux
-where it *is* (huge coefficient ratios, epsilon-straddling bounds,
-near-degenerate pivots, and an outright-lying stub tier) and assert the
-exact tier silently corrects every verdict.  A differential fuzz pass
-asserts the two-tier verdicts match a plain exact :class:`Simplex`, and
-the certified path is checked to produce pure-Fraction certificates
-with the float tier running.
+These tableaux once made an epsilon-guarded float tier wrong (huge
+coefficient ratios, epsilon-straddling bounds, near-degenerate pivots);
+they stay as regressions of the exact core.  The differential halves
+compare the incremental path -- one persistent tableau per solver,
+synced per round -- against a fresh tableau per check.
 """
 
 import random
@@ -22,7 +20,6 @@ from repro.smt import (
     UNSAT,
     Atom,
     BVar,
-    DeltaRational,
     LinExpr,
     Not,
     REAL,
@@ -30,15 +27,11 @@ from repro.smt import (
     Solver,
     TheoryConflict,
     Var,
-    conj,
     disj,
     is_satisfiable,
 )
-from repro.smt import backend as backend_mod
-from repro.smt import theory as theory_mod
+from repro.smt import solver as solver_mod
 from repro.smt.backend import check_tableau
-from repro.smt.floatsimplex import FloatConflict, FloatSimplex
-from repro.smt.stats import GLOBAL_COUNTERS
 from repro.smt.theory import check_conjunction
 
 X = Var("x", REAL)
@@ -67,7 +60,11 @@ def _holds_delta(atom, model):
         value = model[var]
         real += coeff * value.real
         k += coeff * value.k
-    return backend_mod._holds_symbolically(atom, DeltaRational(real, k))
+    if atom.op == EQ:
+        return real == 0 and k == 0
+    if atom.op == LT:
+        return real < 0 or (real == 0 and k < 0)
+    return real < 0 or (real == 0 and k <= 0)
 
 
 def _verdict(atoms):
@@ -79,7 +76,7 @@ def _verdict(atoms):
 
 
 def _exact_verdict(atoms):
-    """The reference: one plain exact simplex, no float tier."""
+    """The reference: one fresh simplex for this conjunction."""
     simplex = Simplex()
     try:
         for atom, tag in _tagged(atoms):
@@ -103,7 +100,7 @@ def _assert_exact_conflict(conflict, atoms):
 
 
 # ----------------------------------------------------------------------
-# Adversarial tableaux: the float tier is wrong, the exact tier corrects
+# Tableaux that defeated the float tier
 # ----------------------------------------------------------------------
 def test_huge_coefficient_ratio_float_misses_unsat():
     # x >= 1, y >= 1, x + 1e18*y <= 1e18: exactly UNSAT, but in floats
@@ -123,63 +120,34 @@ def test_epsilon_straddling_bounds_float_misses_unsat():
     # tier's lenient epsilon, so it sees the bounds as touching.
     gap = Fraction(1, 10**12)
     atoms = [Atom(ex - 5, LE), Atom((5 + gap) - ex, LE)]
-    before = GLOBAL_COUNTERS.tier_disagreements
     kind, payload = _verdict(atoms)
     assert kind == "unsat"
     _assert_exact_conflict(payload, atoms)
-    # The float tier answered SAT; the candidate failed the exact model
-    # check, which counts as a disagreement.
-    assert GLOBAL_COUNTERS.tier_disagreements == before + 1
 
 
 def test_near_degenerate_pivot_float_misses_sat():
     # s = x + y/10^13 >= 2 with x <= 1 is exactly feasible (push y),
     # but y's column coefficient is below PIVOT_EPS, so the float tier
-    # cannot pivot on it and suspects a conflict.  The exact tier
-    # refutes the suspicion and produces a real model.
+    # cannot pivot on it and suspects a conflict.
     atoms = [
         Atom(2 - (ex + ey * Fraction(1, 10**13)), LE),
         Atom(ex - 1, LE),
     ]
-    before = GLOBAL_COUNTERS.tier_disagreements
     kind, model = _verdict(atoms)
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
-    assert GLOBAL_COUNTERS.tier_disagreements == before + 1
-
-
-def test_lying_float_tier_is_refuted(monkeypatch):
-    # Stub tier that claims every system is infeasible, blaming every
-    # tag: the exact tier must refute the suspected core and still
-    # return a model.
-    class LyingSimplex(FloatSimplex):
-        def check(self):
-            raise FloatConflict(
-                frozenset(bound.tag for bound in self.lower.values())
-                | frozenset(bound.tag for bound in self.upper.values())
-            )
-
-    monkeypatch.setattr(backend_mod, "FloatSimplex", LyingSimplex)
-    atoms = [Atom(1 - ex, LE), Atom(ex - 3, LE)]
-    before = GLOBAL_COUNTERS.tier_disagreements
-    kind, model = _verdict(atoms)
-    assert kind == "sat"
-    assert all(_holds(atom, model) for atom in atoms)
-    assert GLOBAL_COUNTERS.tier_disagreements == before + 1
 
 
 # ----------------------------------------------------------------------
-# Confirmation paths
+# Cores and models
 # ----------------------------------------------------------------------
 def test_unsat_confirmation_reuses_suspected_core():
     atoms = [Atom(ex - 1, LE), Atom(2 - ex, LE), Atom(ey - 7, LE)]
-    before = GLOBAL_COUNTERS.float_unsat_confirmed
     kind, conflict = _verdict(atoms)
     assert kind == "unsat"
     # The irrelevant y bound (tag 3) must not pollute the core.
     assert set(conflict.core) == {1, 2}
     _assert_exact_conflict(conflict, atoms)
-    assert GLOBAL_COUNTERS.float_unsat_confirmed == before + 1
 
 
 def test_trust_sat_candidate_is_exact_and_checked():
@@ -189,29 +157,15 @@ def test_trust_sat_candidate_is_exact_and_checked():
         Atom(ex + ey - 12, EQ),     # x + y = 12
         Atom(ez * 3 - 1, LE),       # z <= 1/3
     ]
-    before = GLOBAL_COUNTERS.float_sat_confirmed
     kind, model = _verdict(atoms)
     assert kind == "sat"
     assert all(_holds(atom, model) for atom in atoms)
     for value in model.values():
         assert isinstance(value, Fraction)
-    assert GLOBAL_COUNTERS.float_sat_confirmed == before + 1
-
-
-def test_give_up_falls_back_to_exact(monkeypatch):
-    from repro.smt import floatsimplex as fs
-
-    monkeypatch.setattr(fs, "_MAX_PIVOTS", 0)
-    atoms = [Atom(2 - (ex + ey), LE), Atom(ex - 1, LE), Atom(ey - 1, LE)]
-    before = GLOBAL_COUNTERS.tier_fallbacks
-    kind, model = _verdict(atoms)
-    assert kind == "sat"
-    assert all(_holds(atom, model) for atom in atoms)
-    assert GLOBAL_COUNTERS.tier_fallbacks == before + 1
 
 
 # ----------------------------------------------------------------------
-# Differential fuzz: two-tier verdicts match the exact reference
+# Differential fuzz: one persistent tableau against a fresh one per case
 # ----------------------------------------------------------------------
 def _random_atoms(rng):
     exprs = [ex, ey, ez, ex + ey, ex - ez, ey * 2 + ez]
@@ -228,13 +182,16 @@ def _random_atoms(rng):
 
 
 def test_differential_fuzz_conjunction_verdicts_tier_independent():
+    # Every case is synced onto the same tableau, so each one starts
+    # from the previous case's basis and retracts its bounds.
     rng = random.Random(20260808)
+    tableau = Simplex()
     unsat = 0
     for _ in range(150):
         atoms = _random_atoms(rng)
         expected = _exact_verdict(atoms)
         try:
-            model = check_tableau(_tagged(atoms))
+            model = check_tableau(tableau, _tagged(atoms))
         except TheoryConflict as conflict:
             assert expected == "unsat", f"spurious conflict on {atoms}"
             _assert_exact_conflict(conflict, atoms)
@@ -243,6 +200,7 @@ def test_differential_fuzz_conjunction_verdicts_tier_independent():
         assert expected == "sat", f"missed conflict on {atoms}"
         assert all(_holds_delta(atom, model) for atom in atoms)
     assert unsat  # the fuzz actually exercised UNSAT paths
+    assert tableau.rows  # and multi-variable rows outlived their case
 
 
 def test_differential_full_solver_verdicts_and_certificates(monkeypatch):
@@ -250,38 +208,30 @@ def test_differential_full_solver_verdicts_and_certificates(monkeypatch):
     from repro.smt import certified_solver
     from tests.smt.test_solver_bruteforce import random_formula
 
+    def fresh_tableau(constraints, **kwargs):
+        kwargs.pop("tableau", None)
+        return check_conjunction(constraints, **kwargs)
+
     rng = random.Random(7)
     for _ in range(40):
         formula = random_formula(rng)
-        with monkeypatch.context() as exact_only:
-            exact_only.setattr(
-                theory_mod, "check_tableau", backend_mod._exact_check
-            )
+        with monkeypatch.context() as per_round:
+            # Reference: a fresh tableau for every theory round.
+            per_round.setattr(solver_mod, "check_conjunction", fresh_tableau)
             expected = is_satisfiable(formula)
         assert is_satisfiable(formula) == expected, formula
         if not expected:
-            # Certified replay with the float tier running: the audit
-            # must pass and the proof's certificates must be float-free.
+            # Certified replay on the persistent tableau: the audit
+            # must pass.
             solver = certified_solver([formula])
             assert solver.proof_log is not None
             assert solver.proof_log.result == UNSAT
-            assert audit_proof(solver.proof_log, origin="two-tier") == []
+            assert audit_proof(solver.proof_log, origin="incremental") == []
 
 
 # ----------------------------------------------------------------------
-# Every solver runs the float tier
+# Assumptions on a persistent tableau
 # ----------------------------------------------------------------------
-def test_bare_solver_and_is_satisfiable_enter_float_tier():
-    before = GLOBAL_COUNTERS.float_checks
-    solver = Solver()
-    solver.add(Atom(ex - 1, LE))
-    assert solver.check() == SAT
-    assert GLOBAL_COUNTERS.float_checks > before
-    before = GLOBAL_COUNTERS.float_checks
-    assert is_satisfiable(conj([Atom(1 - ex, LE), Atom(ex - 4, LE)]))
-    assert GLOBAL_COUNTERS.float_checks > before
-
-
 def test_box_guard_semantics_survive_the_filter():
     # Guarded and unguarded checks on one solver: the guard's
     # assumption must flip the verdict.
